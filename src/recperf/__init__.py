@@ -9,12 +9,10 @@ validation of the schedule.
 
 from .diagnostics import (
     DiagnosticsError,
-    DiagnosticsReport,
     PowerConvergence,
     SpectralReport,
     StructureReport,
     check_structure,
-    diagnose,
     limit_power_check,
     lopsided_pairs,
     spectral_diagnostics,
@@ -74,7 +72,6 @@ __all__ = [
     "ConvergenceError",
     "DerivedMatrices",
     "DiagnosticsError",
-    "DiagnosticsReport",
     "ParseError",
     "ParsedTournament",
     "PowerConvergence",
@@ -96,7 +93,6 @@ __all__ = [
     "check_structure",
     "consistency_residual",
     "derive",
-    "diagnose",
     "elo",
     "essentially_identical",
     "gaussian",

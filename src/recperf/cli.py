@@ -17,7 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, diagnose
+from .diagnostics import (
+    SpectralReport,
+    StructureReport,
+    check_structure,
+    lopsided_pairs,
+    spectral_diagnostics,
+)
 from .io import (
     REPORT_SCHEMA_VERSION,
     ParseError,
@@ -68,20 +74,44 @@ def _player_name(players: Sequence[str], who) -> str:
     return str(who)
 
 
-def _print_diag_summary(players: Sequence[str], report: DiagnosticsReport) -> None:
-    p1 = "OK" if report.connected else "VIOLATED"
-    p2 = "OK" if report.nonbipartite else "VIOLATED"
+def _print_diag_summary(
+    players: Sequence[str],
+    structure: StructureReport,
+    lopsided: tuple[tuple[int, int], ...],
+    spectral: SpectralReport | None,
+) -> None:
+    p1 = "OK" if structure.connected else "VIOLATED"
+    p2 = "VIOLATED" if structure.bipartite else "OK"
     print(f"P1 connected comparison graph: {p1}")
-    if not report.connected:
-        print(f"  components: {_fmt_groups(players, report.components)}")
+    if not structure.connected:
+        print(f"  components: {_fmt_groups(players, structure.components)}")
     print(f"P2 non-bipartite comparison graph: {p2}")
-    if not report.nonbipartite and report.coloring is not None:
-        print(f"  bipartition: {_fmt_groups(players, report.coloring)}")
-    if report.per_pair_warning:
-        pairs = ", ".join(
-            f"{players[i]}-{players[j]}" for i, j in report.per_pair_warning
-        )
+    if structure.coloring is not None:
+        print(f"  bipartition: {_fmt_groups(players, structure.coloring)}")
+    if lopsided:
+        pairs = ", ".join(f"{players[i]}-{players[j]}" for i, j in lopsided)
         print(f"lopsided pairs (one side took every point): {pairs}")
+    if spectral is None:
+        return
+    eigs = ", ".join(f"{v:.6f}" for v in spectral.eigenvalues)
+    print("spectral:")
+    print(f"  eigenvalues: {eigs}")
+    print(f"  multiplicity of eigenvalue 1: {spectral.multiplicity_one}   "
+          f"eigenvalue -1 present: {'yes' if spectral.has_minus_one else 'no'}")
+    print(f"  spectral gap: {spectral.spectral_gap:.6f}")
+    rate = 1.0 - spectral.spectral_gap
+    if 0.0 < rate < 1.0:
+        estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate))
+        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: {estimate}")
+    elif rate <= 0.0:
+        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: 1")
+    else:
+        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: "
+              "none (iteration does not converge)")
+
+
+def _games_text(games: float) -> str:
+    return f"{int(games)}" if games == int(games) else f"{games:g}"
 
 
 def _rank_rows(players, d, initial, ratings, ranking: Ranking) -> list[dict]:
@@ -106,10 +136,8 @@ def _print_rating_table(rows: list[dict]) -> None:
     print(f"{'rank':>4}  {'player':<16}{'games':>7}  {'avg score':>9}  "
           f"{'initial':>10}  {'rating':>12}")
     for row in rows:
-        games = row["games"]
-        games_text = f"{int(games)}" if games == int(games) else f"{games:g}"
         print(
-            f"{row['rank']:>4}  {row['player']:<16}{games_text:>7}  "
+            f"{row['rank']:>4}  {row['player']:<16}{_games_text(row['games']):>7}  "
             f"{row['avg_score']:>9.3f}  {row['initial_rating']:>10.1f}  "
             f"{row['rating']:>12.3f}"
         )
@@ -123,27 +151,24 @@ def cmd_rank(args: argparse.Namespace) -> int:
               "(the ranking does not depend on this choice)")
     model = parse_model(args.model)
     d = derive(t)
-    report = diagnose(t)
+    structure = check_structure(d)
 
-    if not report.connected:
+    if not structure.connected:
         _note("P1 violated: tournament splits into independent groups: "
-              + _fmt_groups(t.players, report.components))
+              + _fmt_groups(t.players, structure.components))
         return EXIT_DISCONNECTED
-    if args.method in ("iterative", "both") and not report.nonbipartite:
-        witness = (
-            _fmt_groups(t.players, report.coloring)
-            if report.coloring is not None
-            else "two teams"
-        )
-        _note(f"P2 violated (bipartition {witness}): the fixed-point iteration "
-              "oscillates and cannot converge; use --method direct")
+    if args.method in ("iterative", "both") and structure.bipartite:
+        _note(f"P2 violated (bipartition {_fmt_groups(t.players, structure.coloring)}): "
+              "the fixed-point iteration oscillates and cannot converge; "
+              "use --method direct")
         return EXIT_NO_CONVERGENCE
 
     try:
         outcomes: dict[str, SolveOutcome] = {}
         if args.method in ("direct", "both"):
             outcomes["direct"] = solve_direct(
-                d, model, parsed.initial_ratings, clamp_scores=args.clamp_scores
+                d, model, parsed.initial_ratings,
+                clamp_scores=args.clamp_scores, structure=structure,
             )
         if args.method in ("iterative", "both"):
             outcomes["iterative"] = iterate(
@@ -157,9 +182,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
               "offsets need scores strictly inside (0, 1); "
               "pass --clamp-scores to override")
         return EXIT_BOUNDARY
-    except ConvergenceError as exc:
-        _note(f"{exc}")
-        return EXIT_NO_CONVERGENCE
 
     primary = outcomes.get("direct") or outcomes["iterative"]
     tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
@@ -191,12 +213,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "players": rows,
             "ranking": ranking.labels(t.players),
             "solver": solver_info,
-            "diagnostics": diagnostics_to_dict(report, t.players),
+            "diagnostics": diagnostics_to_dict(
+                structure, lopsided_pairs(t), None, t.players
+            ),
         }
         print(json.dumps(doc, indent=2))
     else:
         print(f"model {_model_spec(model)}   method {args.method}")
-        _print_diag_summary(t.players, report)
+        _print_diag_summary(t.players, structure, lopsided_pairs(t), None)
         print()
         _print_rating_table(rows)
         print()
@@ -214,31 +238,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     parsed = load_tournament(args.input)
     t = parsed.tournament
-    report = diagnose(t)
+    d = derive(t)
+    structure = check_structure(d)
+    spectral = spectral_diagnostics(d) if args.spectral else None
+    del d  # else the dense n-by-n matrices stay alive through rendering, the memory peak
     if args.format == "json":
         doc = {
             "schema": REPORT_SCHEMA_VERSION,
-            "diagnostics": diagnostics_to_dict(report, t.players),
+            "diagnostics": diagnostics_to_dict(
+                structure, lopsided_pairs(t), spectral, t.players
+            ),
         }
         print(json.dumps(doc, indent=2))
-        return EXIT_OK
-    _print_diag_summary(t.players, report)
-    if args.spectral:
-        eigs = ", ".join(f"{v:.6f}" for v in report.eigenvalues)
-        print("spectral:")
-        print(f"  eigenvalues: {eigs}")
-        print(f"  multiplicity of eigenvalue 1: {report.multiplicity_one}   "
-              f"eigenvalue -1 present: {'yes' if report.has_minus_one else 'no'}")
-        print(f"  spectral gap: {report.spectral_gap:.6f}")
-        rate = 1.0 - report.spectral_gap
-        if 0.0 < rate < 1.0:
-            estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate))
-            print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: {estimate}")
-        elif rate <= 0.0:
-            print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: 1")
-        else:
-            print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: "
-                  "none (iteration does not converge)")
+    else:
+        _print_diag_summary(t.players, structure, lopsided_pairs(t), spectral)
     return EXIT_OK
 
 
@@ -259,9 +272,6 @@ def cmd_performance(args: argparse.Namespace) -> int:
         _note(f"boundary score: player {who} has average score {exc.value:g}; "
               "performance is defined only for scores strictly inside (0, 1)")
         return EXIT_BOUNDARY
-    except SingularSystemError as exc:
-        _note(f"P1 violated: {exc}")
-        return EXIT_DISCONNECTED
 
     if args.format == "json":
         entries = []
@@ -289,9 +299,7 @@ def cmd_performance(args: argparse.Namespace) -> int:
             header += f"  {'recursive':>12}"
         print(header)
         for i, label in enumerate(t.players):
-            games = d.m[i]
-            games_text = f"{int(games)}" if games == int(games) else f"{games:g}"
-            line = (f"{label:<16}{games_text:>7}  {d.s[i]:>9.3f}  "
+            line = (f"{label:<16}{_games_text(d.m[i]):>7}  {d.s[i]:>9.3f}  "
                     f"{parsed.initial_ratings[i]:>10.1f}  {perf[i]:>12.3f}")
             if recursive is not None:
                 line += f"  {recursive[i]:>12.3f}"

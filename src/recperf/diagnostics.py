@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tournament import DerivedMatrices, Tournament, derive
+from .tournament import DerivedMatrices, Tournament
 
 
 class DiagnosticsError(RuntimeError):
@@ -55,19 +55,6 @@ class SpectralReport:
     has_minus_one: bool
     spectral_gap: float
     tol: float
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    connected: bool
-    components: tuple[tuple[int, ...], ...]
-    nonbipartite: bool
-    coloring: tuple[tuple[int, ...], tuple[int, ...]] | None
-    eigenvalues: np.ndarray
-    multiplicity_one: int
-    has_minus_one: bool
-    spectral_gap: float
-    per_pair_warning: tuple[tuple[int, int], ...]
 
 
 def _neighbors(d: DerivedMatrices) -> list[np.ndarray]:
@@ -145,38 +132,16 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> Spectr
 
 
 def lopsided_pairs(t: Tournament) -> tuple[tuple[int, int], ...]:
-    """Pairs that played where one side took every point.
+    """Pairs that played where one side took every point, in row-major order.
 
     Such pairs fall outside the interior-score side condition of the
     convergence statement; they are a warning, never an error, because
     convergence itself needs only P1 and P2.
     """
     a = t.score_matrix
-    games = a + a.T
-    pairs = []
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if games[i, j] > 0 and (a[i, j] == 0.0 or a[j, i] == 0.0):
-                pairs.append((i, j))
-    return tuple(pairs)
-
-
-def diagnose(t: Tournament, tol: float | None = None) -> DiagnosticsReport:
-    """Full report: graph verdicts, spectrum summary, lopsided-pair warning."""
-    d = derive(t)
-    structure = check_structure(d)
-    spectral = spectral_diagnostics(d, tol)
-    return DiagnosticsReport(
-        connected=structure.connected,
-        components=structure.components,
-        nonbipartite=not structure.bipartite,
-        coloring=structure.coloring,
-        eigenvalues=spectral.eigenvalues,
-        multiplicity_one=spectral.multiplicity_one,
-        has_minus_one=spectral.has_minus_one,
-        spectral_gap=spectral.spectral_gap,
-        per_pair_warning=lopsided_pairs(t),
-    )
+    mask = np.triu(a + a.T > 0, 1) & ((a == 0) | (a.T == 0))
+    rows, cols = np.nonzero(mask)
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport
+from .diagnostics import SpectralReport, StructureReport
 from .tournament import Tournament, build_tournament
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -200,22 +200,32 @@ def tournament_to_csv(t: Tournament) -> str:
     return out.getvalue()
 
 
-def diagnostics_to_dict(report: DiagnosticsReport, players: Sequence[str]) -> dict:
-    """JSON-ready rendering of a diagnostics report with label witnesses."""
+def diagnostics_to_dict(
+    structure: StructureReport,
+    lopsided: tuple[tuple[int, int], ...],
+    spectral: SpectralReport | None,
+    players: Sequence[str],
+) -> dict:
+    """JSON-ready rendering of the diagnostics with label witnesses.
+
+    The spectral keys appear only when a spectrum was computed.
+    """
 
     def name(indices: tuple[int, ...]) -> list[str]:
         return [players[i] for i in indices]
 
-    return {
-        "connected": report.connected,
-        "components": [name(c) for c in report.components],
-        "nonbipartite": report.nonbipartite,
+    doc = {
+        "connected": structure.connected,
+        "components": [name(c) for c in structure.components],
+        "nonbipartite": not structure.bipartite,
         "coloring": None
-        if report.coloring is None
-        else [name(side) for side in report.coloring],
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "multiplicity_one": report.multiplicity_one,
-        "has_minus_one": report.has_minus_one,
-        "spectral_gap": report.spectral_gap,
-        "lopsided_pairs": [[players[i], players[j]] for i, j in report.per_pair_warning],
+        if structure.coloring is None
+        else [name(side) for side in structure.coloring],
     }
+    if spectral is not None:
+        doc["eigenvalues"] = [float(v) for v in spectral.eigenvalues]
+        doc["multiplicity_one"] = spectral.multiplicity_one
+        doc["has_minus_one"] = spectral.has_minus_one
+        doc["spectral_gap"] = spectral.spectral_gap
+    doc["lopsided_pairs"] = [[players[i], players[j]] for i, j in lopsided]
+    return doc

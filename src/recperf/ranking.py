@@ -7,7 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import RatingModel
 from .tournament import DerivedMatrices
 
 
@@ -75,14 +74,11 @@ def min_shift_distance(x: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * float(diff.max() - diff.min())
 
 
-def essentially_identical(
-    model: RatingModel, x: np.ndarray, y: np.ndarray, tol: float
-) -> bool:
-    """Whether two rating vectors make the same predictions under `model`.
+def essentially_identical(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """Whether two rating vectors make the same predictions.
 
     For any strictly increasing difference-based model this reduces to the
     vectors agreeing up to a constant shift, so the model only fixes the
     units of `tol`.
     """
-    del model  # the linear families all induce the same relation
     return min_shift_distance(x, y) <= tol

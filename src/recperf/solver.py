@@ -34,18 +34,29 @@ DEFAULT_MAX_ITER = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration hit the iteration cap before the tolerance."""
+    """Fixed-point iteration hit the iteration cap before the tolerance.
 
-    def __init__(self, iterations: int, step_norm: float, spectral_gap: float,
-                 last_iterate: np.ndarray):
+    The message names the cause: a spectral gap within the spectral
+    tolerance of zero means a bipartite schedule, on which the iteration
+    oscillates; any larger gap means it mixes too slowly for the cap.
+    """
+
+    def __init__(self, iterations: int, step_norm: float,
+                 spectral: diagnostics.SpectralReport, last_iterate: np.ndarray):
         self.iterations = iterations
         self.step_norm = step_norm
-        self.spectral_gap = spectral_gap
+        self.spectral_gap = spectral.spectral_gap
         self.last_iterate = last_iterate
+        if self.spectral_gap <= spectral.tol:
+            cause = ("is zero: the schedule is bipartite, so the iteration "
+                     "oscillates; use --method direct")
+        else:
+            cause = ("means the schedule mixes slowly; raise --max-iter "
+                     "or use --method direct")
         super().__init__(
             f"no convergence after {iterations} iterations "
-            f"(last step {step_norm:.3e}); spectral gap {spectral_gap:.3e} "
-            "suggests a bipartite or otherwise degenerate schedule"
+            f"(last step {step_norm:.3e}); spectral gap "
+            f"{self.spectral_gap:.3e} {cause}"
         )
 
 
@@ -163,12 +174,12 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
                 pinned_total=float(d.m @ current),
                 trace=tuple(trace) if trace is not None else None,
             )
-    gap = diagnostics.spectral_diagnostics(d).spectral_gap
-    raise ConvergenceError(max_iter, step, gap, current)
+    raise ConvergenceError(max_iter, step, diagnostics.spectral_diagnostics(d), current)
 
 
 def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
-                 clamp_scores: bool = False) -> SolveOutcome:
+                 clamp_scores: bool = False,
+                 structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
     """Solve (I - Mbar) x = chat pinned by strength conservation.
 
     The singular rank-(n-1) system is replaced by the equivalent nonsingular
@@ -177,8 +188,11 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
     operator is unchanged, and the rank-one term bakes in the constraint
     sum(m_i x_i) = sum(m_i r_i). Needs connectivity only; bipartite
     schedules are fine here even though the iteration diverges on them.
+    A caller that already holds `check_structure(d)` passes it as
+    `structure` to skip a second traversal.
     """
-    structure = diagnostics.check_structure(d)
+    if structure is None:
+        structure = diagnostics.check_structure(d)
     if not structure.connected:
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d.n)

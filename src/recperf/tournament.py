@@ -100,14 +100,12 @@ class DerivedMatrices:
     Attributes:
         M: symmetric games-per-pair matrix, A + A.T.
         m: games played by each player (row sums of M, all positive).
-        D: diag(m).
         Mbar: row-stochastic opponent-weighting matrix, M[i, j] / m[i].
         s: average score per player, row sums of A divided by m.
     """
 
     M: np.ndarray
     m: np.ndarray
-    D: np.ndarray
     Mbar: np.ndarray
     s: np.ndarray
 
@@ -180,7 +178,6 @@ def derive(t: Tournament) -> DerivedMatrices:
     return DerivedMatrices(
         M=_frozen(big_m),
         m=_frozen(m),
-        D=_frozen(np.diag(m)),
         Mbar=_frozen(mbar),
         s=_frozen(s),
     )

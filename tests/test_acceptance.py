@@ -222,7 +222,7 @@ def test_criterion_9_r_independence_and_anonymity():
         x1 = rp.solve_direct(d, MODEL, r1).ratings
         x2 = rp.solve_direct(d, MODEL, r2).ratings
         worst_shift = max(worst_shift, rp.min_shift_distance(x1, x2))
-        if not rp.essentially_identical(MODEL, x1, x2, 1e-9):
+        if not rp.essentially_identical(x1, x2, 1e-9):
             ranking_mismatches += 1  # counted below too, but flag loudly
         if rp.rank_from_ratings(x1, 1e-6 * MODEL.scale) != rp.rank_from_ratings(
             x2, 1e-6 * MODEL.scale

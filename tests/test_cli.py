@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import recperf.cli
+from recperf import diagnostics
 from recperf.cli import (
     EXIT_BOUNDARY,
     EXIT_DISCONNECTED,
@@ -36,7 +38,7 @@ class TestRank:
         code, out, _ = run(capsys, "rank", REFERENCE, "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["ranking"] == [["A"], ["B"], ["C"]]
         by_player = {row["player"]: row for row in doc["players"]}
         assert by_player["A"]["rating"] == pytest.approx(127.2323, abs=1e-3)
@@ -121,12 +123,58 @@ class TestCheck:
         assert "{A, B} | {C, D}" in out
 
     def test_json_format(self, capsys):
-        code, out, _ = run(capsys, "check", REFERENCE, "--format", "json")
+        code, out, _ = run(capsys, "check", REFERENCE, "--spectral", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["diagnostics"]["connected"] is True
         assert doc["diagnostics"]["spectral_gap"] == pytest.approx(0.5, abs=1e-9)
         assert doc["diagnostics"]["lopsided_pairs"] == [["A", "B"], ["B", "C"]]
+
+
+SPECTRAL_KEYS = {"eigenvalues", "multiplicity_one", "has_minus_one", "spectral_gap"}
+
+
+class TestSinglePass:
+    """Each command derives once, traverses once, and computes the spectrum
+    only for `check --spectral`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"derive": 0, "check_structure": 0, "spectral_diagnostics": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (recperf.cli, diagnostics):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    def test_rank_both(self, capsys, calls):
+        code, out, _ = run(capsys, "rank", REFERENCE, "--method", "both", "--format", "json")
+        assert code == EXIT_OK
+        assert calls == {"derive": 1, "check_structure": 1, "spectral_diagnostics": 0}
+        doc = json.loads(out)
+        assert doc["schema"] == 2
+        assert not SPECTRAL_KEYS & doc["diagnostics"].keys()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_check_computes_spectrum_only_when_asked(self, capsys, calls, fmt):
+        code, out, _ = run(capsys, "check", REFERENCE, "--format", fmt)
+        assert code == EXIT_OK
+        assert calls == {"derive": 1, "check_structure": 1, "spectral_diagnostics": 0}
+        if fmt == "json":
+            assert not SPECTRAL_KEYS & json.loads(out)["diagnostics"].keys()
+        code, out, _ = run(capsys, "check", REFERENCE, "--spectral", "--format", fmt)
+        assert code == EXIT_OK
+        assert calls == {"derive": 2, "check_structure": 2, "spectral_diagnostics": 1}
+        if fmt == "json":
+            assert SPECTRAL_KEYS <= json.loads(out)["diagnostics"].keys()
 
 
 class TestPerformance:

@@ -6,7 +6,6 @@ from recperf import (
     build_tournament,
     check_structure,
     derive,
-    diagnose,
     limit_power_check,
     lopsided_pairs,
     permute_tournament,
@@ -118,30 +117,58 @@ class TestLopsidedPairs:
     def test_drawn_pairs_not_flagged(self):
         assert lopsided_pairs(triangle(draws=True)) == ()
 
+    def test_matches_brute_force_on_random_corpus(self):
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            t = random_tournament(rng, require_p1p2=False)
+            a = t.score_matrix.copy()
+            # hand every point of some pairs to one side, in either direction
+            for i, j in zip(*np.nonzero(np.triu(rng.random(a.shape) < 0.2, 1))):
+                winner, loser = (i, j) if rng.random() < 0.5 else (j, i)
+                a[winner, loser] += a[loser, winner]
+                a[loser, winner] = 0.0
+            t = Tournament(t.players, a)
+            expected = tuple(
+                (i, j)
+                for i in range(t.n)
+                for j in range(i + 1, t.n)
+                if a[i, j] + a[j, i] > 0 and (a[i, j] == 0.0 or a[j, i] == 0.0)
+            )
+            pairs = lopsided_pairs(t)
+            assert pairs == expected
+            assert all(type(k) is int for pair in pairs for k in pair)
+
 
 class TestDiagnose:
     def test_report_fields_line_up(self):
-        report = diagnose(team_2v2())
-        assert report.connected
-        assert not report.nonbipartite
-        assert report.coloring == ((0, 1), (2, 3))
-        assert report.has_minus_one
-        assert report.per_pair_warning == ((0, 2), (1, 3))
+        t = team_2v2()
+        d = derive(t)
+        structure = check_structure(d)
+        assert structure.connected
+        assert structure.bipartite
+        assert structure.coloring == ((0, 1), (2, 3))
+        assert spectral_diagnostics(d).has_minus_one
+        assert lopsided_pairs(t) == ((0, 2), (1, 3))
 
     def test_invariant_under_relabeling(self):
         rng = np.random.default_rng(34)
         t = random_tournament(rng)
         perm = rng.permutation(t.n)
-        report = diagnose(t)
-        moved = diagnose(permute_tournament(t, perm))
-        assert np.allclose(report.eigenvalues, moved.eigenvalues, atol=1e-9)
-        assert report.connected == moved.connected
-        assert report.nonbipartite == moved.nonbipartite
+        d = derive(t)
+        moved_d = derive(permute_tournament(t, perm))
+        structure, moved = check_structure(d), check_structure(moved_d)
+        assert np.allclose(
+            spectral_diagnostics(d).eigenvalues,
+            spectral_diagnostics(moved_d).eigenvalues,
+            atol=1e-9,
+        )
+        assert structure.connected == moved.connected
+        assert structure.bipartite == moved.bipartite
 
         def relabel(groups):
             return {frozenset(int(perm[i]) for i in g) for g in groups}
 
-        assert relabel(report.components) == {frozenset(c) for c in moved.components}
+        assert relabel(structure.components) == {frozenset(c) for c in moved.components}
 
 
 class TestLimitPower:

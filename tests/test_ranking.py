@@ -8,7 +8,6 @@ from recperf import (
     Ranking,
     build_tournament,
     derive,
-    elo,
     essentially_identical,
     min_shift_distance,
     rank_from_ratings,
@@ -72,10 +71,10 @@ class TestScoreRanking:
 class TestEssentialIdentity:
     def test_constant_shift(self):
         x = np.array([1.0, 5.0, -2.0])
-        assert essentially_identical(elo(), x, x + 42.0, 1e-12)
+        assert essentially_identical(x, x + 42.0, 1e-12)
 
     def test_non_shift(self):
-        assert not essentially_identical(elo(), np.zeros(2), np.array([0.0, 1.0]), 1e-6)
+        assert not essentially_identical(np.zeros(2), np.array([0.0, 1.0]), 1e-6)
 
     def test_min_shift_distance_value(self):
         # difference spread is [0, 1], midpoint shift leaves 0.5
@@ -105,7 +104,7 @@ def test_translation_invariance(x, shift):
 @given(integer_vectors)
 def test_identity_at_zero_tolerance_implies_equal_ranking(x):
     y = x + 13.0
-    assert essentially_identical(elo(), x, y, 0.0)
+    assert essentially_identical(x, y, 0.0)
     assert rank_from_ratings(x, 0.0) == rank_from_ratings(y, 0.0)
 
 
@@ -113,17 +112,14 @@ def test_identity_at_zero_tolerance_implies_equal_ranking(x):
 def test_essential_identity_is_symmetric(x, y):
     if x.shape != y.shape:
         return
-    assert essentially_identical(elo(), x, y, 2.0) == essentially_identical(
-        elo(), y, x, 2.0
-    )
+    assert essentially_identical(x, y, 2.0) == essentially_identical(y, x, 2.0)
 
 
 @given(integer_vectors)
 def test_essential_identity_is_an_equivalence_at_zero_tolerance(x):
-    model = elo()
     y = x + 7.0
     z = y - 19.0
-    assert essentially_identical(model, x, x, 0.0)
-    assert essentially_identical(model, x, y, 0.0)
-    assert essentially_identical(model, y, z, 0.0)
-    assert essentially_identical(model, x, z, 0.0)
+    assert essentially_identical(x, x, 0.0)
+    assert essentially_identical(x, y, 0.0)
+    assert essentially_identical(y, z, 0.0)
+    assert essentially_identical(x, z, 0.0)

@@ -179,6 +179,21 @@ class TestIterate:
         assert err.step_norm > 0
         assert err.last_iterate.shape == (4,)
         assert "spectral gap" in str(err)
+        assert "bipartite" in str(err)
+
+    def test_slow_mixing_is_not_blamed_on_bipartiteness(self):
+        # a chain closed into one triangle at its head: P1 and P2 hold, but
+        # the gap is small, so 50 steps are far too few
+        names = [f"P{i}" for i in range(30)]
+        records = [(names[i], names[i + 1], 0.6) for i in range(29)]
+        records.append((names[0], names[2], 0.6))
+        with pytest.raises(ConvergenceError) as excinfo:
+            iterate(derive(build_tournament(names, records)), MODEL, max_iter=50)
+        message = str(excinfo.value)
+        assert excinfo.value.spectral_gap > 0.0
+        assert "spectral gap" in message
+        assert "bipartite" not in message
+        assert "mixes slowly" in message and "--max-iter" in message
 
     def test_trace_records_each_step(self):
         d = derive(reference_tournament())

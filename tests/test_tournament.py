@@ -83,7 +83,6 @@ class TestDerive:
         assert np.allclose(d.M, [[0, 1.5, 1.0], [1.5, 0, 1.0], [1.0, 1.0, 0]])
         assert np.allclose(d.m, [2.5, 2.5, 2.0])
         assert np.allclose(d.s, [2.0 / 2.5, 1.0 / 2.5, 0.5 / 2.0])
-        assert np.allclose(d.D, np.diag(d.m))
 
     def test_boundary_scores_accepted_at_derive(self):
         d = derive(Tournament(("A", "B"), np.array([[0.0, 1.0], [0.0, 0.0]])))
