@@ -9,11 +9,9 @@ validation of the schedule.
 
 from .diagnostics import (
     DiagnosticsError,
-    PowerConvergence,
     SpectralReport,
     StructureReport,
     check_structure,
-    limit_power_check,
     lopsided_pairs,
     spectral_diagnostics,
 )
@@ -22,7 +20,6 @@ from .io import (
     ParseError,
     load_tournament,
     parse_tournament,
-    tournament_to_csv,
     tournament_to_json,
 )
 from .models import (
@@ -35,10 +32,7 @@ from .models import (
 )
 from .ranking import (
     Ranking,
-    essentially_identical,
-    min_shift_distance,
     rank_from_ratings,
-    score_ranking,
 )
 from .simulate import Schedule, SimulationConfig, SimulationResult, simulate_tournament
 from .solver import (
@@ -46,8 +40,6 @@ from .solver import (
     SingularSystemError,
     SolveOutcome,
     centered_offsets,
-    centering_drift,
-    consistency_residual,
     iterate,
     offsets,
     performance,
@@ -55,14 +47,10 @@ from .solver import (
 )
 from .tournament import (
     DerivedMatrices,
-    StrengthSummary,
     Tournament,
     TournamentDataError,
     build_tournament,
     derive,
-    permute_tournament,
-    strength_summary,
-    weighted_inner,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +62,6 @@ __all__ = [
     "DiagnosticsError",
     "ParseError",
     "ParsedTournament",
-    "PowerConvergence",
     "Ranking",
     "RatingModel",
     "Schedule",
@@ -83,38 +70,27 @@ __all__ = [
     "SingularSystemError",
     "SolveOutcome",
     "SpectralReport",
-    "StrengthSummary",
     "StructureReport",
     "Tournament",
     "TournamentDataError",
     "build_tournament",
     "centered_offsets",
-    "centering_drift",
     "check_structure",
-    "consistency_residual",
     "derive",
     "elo",
-    "essentially_identical",
     "gaussian",
     "iterate",
-    "limit_power_check",
     "load_tournament",
     "logistic",
     "lopsided_pairs",
-    "min_shift_distance",
     "offsets",
     "parse_model",
     "parse_tournament",
     "performance",
-    "permute_tournament",
     "rank_from_ratings",
-    "score_ranking",
     "simulate_tournament",
     "solve_direct",
     "spectral_diagnostics",
-    "strength_summary",
-    "tournament_to_csv",
     "tournament_to_json",
-    "weighted_inner",
     "__version__",
 ]

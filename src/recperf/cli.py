@@ -35,6 +35,7 @@ from .models import BoundaryScoreError, RatingModel, parse_model
 from .ranking import Ranking, rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
 from .solver import (
+    DEFAULT_MAX_ITER,
     ConvergenceError,
     SingularSystemError,
     SolveOutcome,
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--model", default="elo", help="elo[:scale] | logistic:scale | gaussian:sigma")
     rank.add_argument("--method", choices=("direct", "iterative", "both"), default="direct")
     rank.add_argument("--tol", type=float, default=None, help="iteration stop tolerance")
-    rank.add_argument("--max-iter", type=int, default=100_000)
+    rank.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     rank.add_argument("--tie-tol", type=float, default=None,
                       help="rating gap treated as a tie (default 1e-6 * scale)")
     rank.add_argument("--clamp-scores", action="store_true",

@@ -142,35 +142,3 @@ def lopsided_pairs(t: Tournament) -> tuple[tuple[int, int], ...]:
     mask = np.triu(a + a.T > 0, 1) & ((a == 0) | (a.T == 0))
     rows, cols = np.nonzero(mask)
     return tuple(zip(rows.tolist(), cols.tolist()))
-
-
-@dataclass(frozen=True)
-class PowerConvergence:
-    """Outcome of driving Mbar^l toward its rank-one limit."""
-
-    converged: bool
-    steps: int
-    deviation: float
-
-    def __bool__(self) -> bool:
-        return self.converged
-
-
-def limit_power_check(d: DerivedMatrices, l_max: int, tol: float) -> PowerConvergence:
-    """Test whether Mbar^l approaches the rank-one matrix with rows m / sum(m).
-
-    Uses the matrix infinity norm (max absolute row sum). Under P1 and P2
-    the limit is reached; bipartite or disconnected schedules never get
-    there, and the achieved deviation at l_max is reported instead.
-    """
-    if l_max < 1:
-        raise ValueError(f"l_max must be at least 1, got {l_max}")
-    target = np.outer(np.ones(d.n), d.m) / d.m.sum()
-    power = d.Mbar.copy()
-    deviation = float("inf")
-    for step in range(1, l_max + 1):
-        deviation = float(np.abs(power - target).sum(axis=1).max())
-        if deviation <= tol:
-            return PowerConvergence(converged=True, steps=step, deviation=deviation)
-        power = power @ d.Mbar
-    return PowerConvergence(converged=False, steps=l_max, deviation=deviation)

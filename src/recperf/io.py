@@ -83,6 +83,8 @@ def parse_tournament_json(text: str) -> ParsedTournament:
         raise ParseError('exactly one of "matches" or "crosstable" must be present')
 
     if has_matches:
+        if not isinstance(doc["matches"], list):
+            raise ParseError('"matches" must be a list of game records')
         records = []
         for k, entry in enumerate(doc["matches"], start=1):
             if not isinstance(entry, dict):
@@ -90,6 +92,8 @@ def parse_tournament_json(text: str) -> ParsedTournament:
             missing = {"a", "b", "score_a"} - entry.keys()
             if missing:
                 raise ParseError(f"match {k}: missing keys {sorted(missing)}")
+            if not isinstance(entry["a"], str) or not isinstance(entry["b"], str):
+                raise ParseError(f"match {k}: players a and b must be strings")
             if not isinstance(entry["score_a"], (int, float)) or isinstance(
                 entry["score_a"], bool
             ):
@@ -186,18 +190,6 @@ def tournament_to_json(
     else:
         doc["crosstable"] = [[float(v) for v in row] for row in t.score_matrix]
     return json.dumps(doc, indent=2) + "\n"
-
-
-def tournament_to_csv(t: Tournament) -> str:
-    out = _stringio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(t.players))
-    for i, label in enumerate(t.players):
-        cells: list[str] = [label]
-        for j in range(t.n):
-            cells.append("" if i == j else repr(float(t.score_matrix[i, j])))
-        writer.writerow(cells)
-    return out.getvalue()
 
 
 def diagnostics_to_dict(

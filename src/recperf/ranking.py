@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .tournament import DerivedMatrices
-
 
 @dataclass(frozen=True)
 class Ranking:
@@ -53,32 +51,3 @@ def rank_from_ratings(ratings: np.ndarray, tie_tol: float) -> Ranking:
         else:
             groups.append([int(cur)])
     return Ranking(tuple(tuple(sorted(g)) for g in groups))
-
-
-def score_ranking(d: DerivedMatrices, tie_tol: float = 0.0) -> Ranking:
-    """Ranking induced by the average scores, same tie rule."""
-    return rank_from_ratings(d.s, tie_tol)
-
-
-def min_shift_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest infinity-norm distance between x and y + any constant shift.
-
-    The minimizing shift is the midpoint of the extremes of x - y, so the
-    distance is half the spread of the componentwise difference.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return 0.5 * float(diff.max() - diff.min())
-
-
-def essentially_identical(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """Whether two rating vectors make the same predictions.
-
-    For any strictly increasing difference-based model this reduces to the
-    vectors agreeing up to a constant shift, so the model only fixes the
-    units of `tol`.
-    """
-    return min_shift_distance(x, y) <= tol

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import diagnostics
 from .models import BoundaryScoreError, RatingModel
-from .ranking import min_shift_distance
 from .tournament import DerivedMatrices
 
 DEFAULT_MAX_ITER = 100_000
@@ -210,40 +209,6 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
         residual=residual,
         pinned_total=float(d.m @ x),
     )
-
-
-def centering_drift(d: DerivedMatrices, model: RatingModel, r: np.ndarray,
-                    steps: int, *, clamp_scores: bool = False) -> np.ndarray:
-    """Difference after `steps` between the raw and the centered iteration.
-
-    Running the iteration with the raw offsets c instead of chat shifts
-    every iterate by a multiple of the all-ones vector and nothing else:
-    after l steps the gap is (l + 1) * weighted-mean(c) * e. Returned for
-    verification against that closed form; the induced rankings coincide.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    r = _as_vector(r, d.n)
-    c = offsets(d, model, clamp_scores=clamp_scores)
-    chat = centered_offsets(d, model, clamp_scores=clamp_scores)
-    raw = d.Mbar @ r + c
-    centered = d.Mbar @ r + chat
-    for _ in range(steps):
-        raw = d.Mbar @ raw + c
-        centered = d.Mbar @ centered + chat
-    return raw - centered
-
-
-def consistency_residual(d: DerivedMatrices, model: RatingModel, x: np.ndarray, *,
-                         clamp_scores: bool = False) -> float:
-    """How far x is from reproducing itself as its own performance.
-
-    Zero (up to rounding) exactly for the solutions of the pinned linear
-    system; adding a constant shift to x does not change the value.
-    """
-    x = _as_vector(x, d.n)
-    p = performance(d, model, x, clamp_scores=clamp_scores)
-    return min_shift_distance(p, x)
 
 
 def _as_vector(r: np.ndarray | None, n: int) -> np.ndarray:

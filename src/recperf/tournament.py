@@ -33,7 +33,9 @@ class Tournament:
     Attributes:
         players: distinct non-empty labels, length n >= 2.
         score_matrix: n x n nonnegative matrix with zero diagonal; entry
-            (i, j) is the total score of i against j.
+            (i, j) is the total score of i against j. Every player's game
+            total (row sum of A + A.T) is positive, and their sum is
+            finite.
     """
 
     players: tuple[str, ...]
@@ -76,7 +78,15 @@ class Tournament:
             raise TournamentDataError(
                 f"nonzero diagonal entry for {players[i]}: a player cannot score against himself"
             )
-        games = (a + a.T).sum(axis=1)
+        with np.errstate(over="ignore"):
+            games = (a + a.T).sum(axis=1)
+            all_games = games.sum()
+        if not np.isfinite(all_games):
+            huge = [players[i] for i in np.nonzero(~np.isfinite(games))[0]]
+            raise TournamentDataError(
+                f"game totals overflow for players: {huge}" if huge
+                else "game totals overflow when summed over all players"
+            )
         if np.any(games == 0):
             idle = [players[i] for i in np.nonzero(games == 0)[0]]
             raise TournamentDataError(f"players with no games: {idle}")
@@ -85,12 +95,6 @@ class Tournament:
     @property
     def n(self) -> int:
         return len(self.players)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.players.index(label)
-        except ValueError:
-            raise TournamentDataError(f"unknown player: {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,6 @@ class DerivedMatrices:
     @property
     def n(self) -> int:
         return self.m.shape[0]
-
-
-@dataclass(frozen=True)
-class StrengthSummary:
-    """Games-weighted total and average of a rating vector."""
-
-    total: float
-    average: float
 
 
 def build_tournament(
@@ -164,15 +160,11 @@ def derive(t: Tournament) -> DerivedMatrices:
     """Compute the games matrix, per-player game counts, the row-stochastic
     opponent-weighting matrix and the average scores.
 
-    Raises:
-        TournamentDataError: if some player has no games (zero row in M).
+    Every game count is positive and finite; `Tournament` guarantees it.
     """
     a = t.score_matrix
     big_m = a + a.T
     m = big_m.sum(axis=1)
-    if np.any(m <= 0):
-        idle = [t.players[i] for i in np.nonzero(m <= 0)[0]]
-        raise TournamentDataError(f"players with no games: {idle}")
     mbar = big_m / m[:, None]
     s = a.sum(axis=1) / m
     return DerivedMatrices(
@@ -181,40 +173,3 @@ def derive(t: Tournament) -> DerivedMatrices:
         Mbar=_frozen(mbar),
         s=_frozen(s),
     )
-
-
-def weighted_inner(d: DerivedMatrices, v: np.ndarray, w: np.ndarray) -> float:
-    """Games-weighted inner product sum(m_i * v_i * w_i)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (d.n,) or w.shape != (d.n,):
-        raise ValueError(
-            f"expected two vectors of length {d.n}, got {v.shape} and {w.shape}"
-        )
-    return float(np.sum(d.m * v * w))
-
-
-def strength_summary(d: DerivedMatrices, r: np.ndarray) -> StrengthSummary:
-    """Total strength sum(m_i * r_i) and its games-weighted average."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (d.n,):
-        raise ValueError(f"expected a rating vector of length {d.n}, got {r.shape}")
-    total = float(d.m @ r)
-    return StrengthSummary(total=total, average=total / float(d.m.sum()))
-
-
-def permute_tournament(t: Tournament, perm: Sequence[int]) -> Tournament:
-    """Relabel players: player at old index i moves to new index perm[i].
-
-    The result is the same tournament up to labeling; derived quantities are
-    the original ones permuted the same way.
-    """
-    n = t.n
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    players = tuple(t.players[i] for i in inv)
-    a = t.score_matrix[np.ix_(inv, inv)]
-    return Tournament(players, a)

@@ -28,6 +28,15 @@ from conftest import (
     random_round_robin,
     random_tournament,
 )
+from reference import (
+    centering_drift,
+    consistency_residual,
+    essentially_identical,
+    limit_power_check,
+    min_shift_distance,
+    permute_tournament,
+    score_ranking,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MODEL = rp.elo()
@@ -117,7 +126,7 @@ def test_criterion_4_centering_drift_identity():
         c = rp.offsets(d, MODEL)
         mu = float(d.m @ c) / float(d.m.sum())
         steps = int(rng.integers(0, 51))
-        drift = rp.centering_drift(d, MODEL, r, steps)
+        drift = centering_drift(d, MODEL, r, steps)
         budget = 1e-9 * (steps + 1) * float(np.abs(c).max())
         deviation = float(np.abs(drift - (steps + 1) * mu).max())
         worst = max(worst, deviation / budget)
@@ -151,12 +160,12 @@ def test_criterion_5_graph_vs_spectral_oracle():
 
 def test_criterion_6_power_limit():
     triangle = reference_derived()
-    reached = rp.limit_power_check(triangle, 40, 1e-10)
+    reached = limit_power_check(triangle, 40, 1e-10)
     team = rp.build_tournament(
         ["A", "B", "C", "D"],
         [("A", "C", 0.8), ("A", "D", 0.6), ("B", "C", 0.7), ("B", "D", 0.4)],
     )
-    stuck = rp.limit_power_check(rp.derive(team), 1000, 1e-10)
+    stuck = limit_power_check(rp.derive(team), 1000, 1e-10)
     ok = reached.converged and reached.deviation <= 1e-10 and not stuck.converged
     report(6, ok, f"power limit: triangle reached {reached.deviation:.2e} at "
                   f"l={reached.steps}; team stuck at {stuck.deviation:.2f} after 1000")
@@ -175,7 +184,7 @@ def test_criterion_7_round_robin_coincidence():
         assert is_single_round_robin(t)
         d = rp.derive(t)
         x = rp.solve_direct(d, MODEL).ratings
-        if rp.rank_from_ratings(x, 0.0) != rp.score_ranking(d, 0.0):
+        if rp.rank_from_ratings(x, 0.0) != score_ranking(d, 0.0):
             mismatches += 1
         chat = rp.centered_offsets(d, MODEL)
         gaps = chat[:, None] - chat[None, :]
@@ -198,9 +207,9 @@ def test_criterion_8_consistency():
             t = random_tournament(rng)
         d = rp.derive(t)
         x = rp.solve_direct(d, MODEL).ratings
-        worst_fixed_point = max(worst_fixed_point, rp.consistency_residual(d, MODEL, x))
+        worst_fixed_point = max(worst_fixed_point, consistency_residual(d, MODEL, x))
         fake = MODEL.scale * (d.s - d.s.mean())
-        if rp.consistency_residual(d, MODEL, fake) > 1e-3:
+        if consistency_residual(d, MODEL, fake) > 1e-3:
             loud += 1
     ok = worst_fixed_point <= 1e-9 and loud >= 45
     report(8, ok, f"consistency: solver residual worst {worst_fixed_point:.2e}; "
@@ -221,15 +230,15 @@ def test_criterion_9_r_independence_and_anonymity():
         r2 = rng.uniform(-500.0, 3000.0, d.n)
         x1 = rp.solve_direct(d, MODEL, r1).ratings
         x2 = rp.solve_direct(d, MODEL, r2).ratings
-        worst_shift = max(worst_shift, rp.min_shift_distance(x1, x2))
-        if not rp.essentially_identical(x1, x2, 1e-9):
+        worst_shift = max(worst_shift, min_shift_distance(x1, x2))
+        if not essentially_identical(x1, x2, 1e-9):
             ranking_mismatches += 1  # counted below too, but flag loudly
         if rp.rank_from_ratings(x1, 1e-6 * MODEL.scale) != rp.rank_from_ratings(
             x2, 1e-6 * MODEL.scale
         ):
             ranking_mismatches += 1
         perm = rng.permutation(d.n)
-        moved = rp.permute_tournament(t, perm)
+        moved = permute_tournament(t, perm)
         x_moved = rp.solve_direct(rp.derive(moved), MODEL, r1[np.argsort(perm)]).ratings
         worst_perm = max(worst_perm, float(np.abs(x_moved[perm] - x1).max()))
     ok = worst_shift <= 1e-9 and ranking_mismatches == 0 and worst_perm <= 1e-9

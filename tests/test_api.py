@@ -1,0 +1,64 @@
+"""The public surface of `recperf`: what `__all__` exports and what README shows."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import recperf
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "BoundaryScoreError",
+    "ConvergenceError",
+    "DerivedMatrices",
+    "DiagnosticsError",
+    "ParseError",
+    "ParsedTournament",
+    "Ranking",
+    "RatingModel",
+    "Schedule",
+    "SimulationConfig",
+    "SimulationResult",
+    "SingularSystemError",
+    "SolveOutcome",
+    "SpectralReport",
+    "StructureReport",
+    "Tournament",
+    "TournamentDataError",
+    "build_tournament",
+    "centered_offsets",
+    "check_structure",
+    "derive",
+    "elo",
+    "gaussian",
+    "iterate",
+    "load_tournament",
+    "logistic",
+    "lopsided_pairs",
+    "offsets",
+    "parse_model",
+    "parse_tournament",
+    "performance",
+    "rank_from_ratings",
+    "simulate_tournament",
+    "solve_direct",
+    "spectral_diagnostics",
+    "tournament_to_json",
+    "__version__",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert recperf.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(recperf, name), name
+
+
+def test_readme_python_example_runs():
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.group(1), {})
+    assert out.getvalue() == "[['A'], ['B'], ['C']]\n"

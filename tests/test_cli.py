@@ -265,6 +265,39 @@ class TestSimulate:
         assert truth["true_strengths"] == [400.0, 0.0, -400.0]
 
 
+class TestMalformedInput:
+    HUGE_JSON = json.dumps({
+        "players": ["A", "B", "C"],
+        "crosstable": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]],
+    })
+    HUGE_CSV = ",A,B,C\nA,,1e308,1e308\nB,1e308,,1e308\nC,1e308,1e308,\n"
+
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["check"], ["check", "--spectral"], ["performance"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("suffix, text", [
+        (".json", HUGE_JSON), (".csv", HUGE_CSV),
+    ], ids=["json", "csv"])
+    def test_overflowing_game_totals_exit_2(self, capsys, tmp_path, command, suffix, text):
+        path = tmp_path / f"huge{suffix}"
+        path.write_text(text)
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == EXIT_PARSE
+        assert "overflow for players: ['A', 'B', 'C']" in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command", ["rank", "check", "performance"])
+    @pytest.mark.parametrize("matches", [
+        "5", "null", "true", '[{"a": ["x"], "b": "B", "score_a": 1}]',
+    ], ids=["number", "null", "bool", "list-label"])
+    def test_malformed_matches_exit_2(self, capsys, tmp_path, command, matches):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"players": ["A", "B"], "matches": {matches}}}')
+        code, _, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE
+        assert "matches" in err or "match 1" in err
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,13 +6,12 @@ from recperf import (
     build_tournament,
     check_structure,
     derive,
-    limit_power_check,
     lopsided_pairs,
-    permute_tournament,
     spectral_diagnostics,
 )
 
 from conftest import forced_bipartite, forced_disconnected, random_tournament
+from reference import limit_power_check, permute_tournament
 
 
 def two_pairs():

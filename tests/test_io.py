@@ -9,11 +9,11 @@ from recperf import (
     derive,
     load_tournament,
     parse_tournament,
-    tournament_to_csv,
     tournament_to_json,
 )
 
 from conftest import random_tournament
+from reference import tournament_to_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,6 +70,19 @@ class TestJsonParsing:
         with pytest.raises(ParseError, match="non-numeric"):
             parse_tournament(
                 '{"players": ["A", "B"], "crosstable": [[0, "x"], [1, 0]]}'
+            )
+
+    @pytest.mark.parametrize("matches", ["5", "null", "true", '"abc"', "{}"])
+    def test_matches_must_be_a_list(self, matches):
+        with pytest.raises(ParseError, match='"matches"'):
+            parse_tournament(f'{{"players": ["A", "B"], "matches": {matches}}}')
+
+    @pytest.mark.parametrize("a, b", [('["x"]', '"B"'), ('"A"', "{}"), ("1", '"B"')])
+    def test_match_players_must_be_strings(self, a, b):
+        with pytest.raises(ParseError, match="match 2"):
+            parse_tournament(
+                '{"players": ["A", "B"], "matches": [{"a": "A", "b": "B", "score_a": 1},'
+                f' {{"a": {a}, "b": {b}, "score_a": 0}}]}}'
             )
 
 

@@ -8,11 +8,10 @@ from recperf import (
     Ranking,
     build_tournament,
     derive,
-    essentially_identical,
-    min_shift_distance,
     rank_from_ratings,
-    score_ranking,
 )
+
+from reference import essentially_identical, min_shift_distance, score_ranking
 
 
 class TestRankFromRatings:

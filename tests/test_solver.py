@@ -10,21 +10,23 @@ from recperf import (
     Tournament,
     build_tournament,
     centered_offsets,
-    centering_drift,
-    consistency_residual,
     derive,
     elo,
     iterate,
-    min_shift_distance,
     offsets,
     performance,
-    permute_tournament,
     rank_from_ratings,
     solve_direct,
-    weighted_inner,
 )
 
 from conftest import random_tournament
+from reference import (
+    centering_drift,
+    consistency_residual,
+    min_shift_distance,
+    permute_tournament,
+    weighted_inner,
+)
 
 MODEL = elo()
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,10 @@ from recperf import (
     TournamentDataError,
     build_tournament,
     derive,
-    permute_tournament,
-    strength_summary,
-    weighted_inner,
 )
 
 from conftest import random_tournament
+from reference import permute_tournament, strength_summary, weighted_inner
 
 
 class TestBuildTournament:
@@ -59,6 +59,22 @@ class TestTournamentInvariants:
     def test_single_player_rejected(self):
         with pytest.raises(TournamentDataError, match="at least 2"):
             Tournament(("A",), np.zeros((1, 1)))
+
+    def test_overflowing_game_totals_rejected(self):
+        matrix = np.full((3, 3), 1e308)
+        np.fill_diagonal(matrix, 0.0)
+        matrix[2, :2] = matrix[:2, 2] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TournamentDataError, match=r"\['A', 'B'\]"):
+                Tournament(("A", "B", "C"), matrix)
+
+    def test_overflowing_sum_of_game_totals_rejected(self):
+        matrix = np.array([[0.0, 5e307, 1.0], [5e307, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TournamentDataError, match="summed over all players"):
+                Tournament(("A", "B", "C"), matrix)
 
     def test_matrix_is_immutable(self):
         t = build_tournament(["A", "B"], [("A", "B", 0.5)])
