@@ -188,6 +188,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
     ranking = rank_from_ratings(primary.ratings, tie_tol)
     rows = _rank_rows(t.players, d, parsed.initial_ratings, primary.ratings, ranking)
+    del d  # the CSR arrays are not needed to render; freed, they lower the memory peak
 
     max_delta = None
     if len(outcomes) == 2:
@@ -218,6 +219,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 structure, lopsided_pairs(t), None, t.players
             ),
         }
+        del parsed, t  # nor are the pairs, once the report holds the witnesses
         print(json.dumps(doc, indent=2))
     else:
         print(f"model {_model_spec(model)}   method {args.method}")
@@ -242,7 +244,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     d = derive(t)
     structure = check_structure(d)
     spectral = spectral_diagnostics(d) if args.spectral else None
-    del d  # else the dense n-by-n matrices stay alive through rendering, the memory peak
+    del d  # else the CSR arrays stay alive through rendering, the memory peak
     if args.format == "json":
         doc = {
             "schema": REPORT_SCHEMA_VERSION,
@@ -250,6 +252,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 structure, lopsided_pairs(t), spectral, t.players
             ),
         }
+        del parsed, t  # and the pairs, once the report holds the witnesses
         print(json.dumps(doc, indent=2))
     else:
         _print_diag_summary(t.players, structure, lopsided_pairs(t), spectral)

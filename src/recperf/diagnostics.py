@@ -7,11 +7,15 @@ breadth-first traversal of the graph, and through the spectrum of the
 opponent-weighting matrix Mbar, whose eigenvalues are real, bounded by 1 in
 absolute value, have 1 with multiplicity equal to the number of connected
 components, and include -1 exactly for bipartite schedules.
+
+The traversal walks the CSR adjacency of `derive` one BFS level at a time,
+in O(n + pairs). The spectrum needs the full n x n symmetric matrix for a
+dense eigensolver; it is the only O(n^2)-memory, O(n^3)-time check, and
+only `check --spectral` (and a failed iteration's error message) runs it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,46 +61,53 @@ class SpectralReport:
     tol: float
 
 
-def _neighbors(d: DerivedMatrices) -> list[np.ndarray]:
-    return [np.nonzero(d.M[i] > 0)[0] for i in range(d.n)]
-
-
 def check_structure(d: DerivedMatrices) -> StructureReport:
     """BFS the comparison graph: connected components and per-component 2-coloring.
 
-    A component that two-colors cleanly is a team-like sub-schedule; any
-    such component makes the whole iteration oscillate, so the verdict is
-    per component rather than global.
+    Level-synchronous: each step expands a whole BFS level at once over the
+    CSR adjacency. Components are found in order of their smallest member.
+    An edge joins equal or adjacent BFS depths, so a component two-colors
+    exactly when no edge joins two players at the same depth, and its sides
+    are then the even and the odd depths. A component that two-colors
+    cleanly is a team-like sub-schedule; any such component makes the whole
+    iteration oscillate, so the verdict is per component rather than global.
     """
     n = d.n
-    adj = _neighbors(d)
-    color = np.full(n, -1, dtype=int)
-    components: list[tuple[int, ...]] = []
-    coloring: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    indptr, indices = d.indptr, d.indices
+    depth = np.full(n, -1, dtype=np.int32)
+    members: list[np.ndarray] = []
+    odd_cycle: list[bool] = []
     for start in range(n):
-        if color[start] >= 0:
+        if depth[start] >= 0:
             continue
-        color[start] = 0
-        queue = deque([start])
-        comp = [start]
-        two_colorable = True
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if color[j] < 0:
-                    color[j] = 1 - color[i]
-                    comp.append(int(j))
-                    queue.append(int(j))
-                elif color[j] == color[i]:
-                    two_colorable = False
-        components.append(tuple(sorted(comp)))
-        if two_colorable and coloring is None:
-            side0 = tuple(i for i in components[-1] if color[i] == 0)
-            side1 = tuple(i for i in components[-1] if color[i] == 1)
-            coloring = (side0, side1)
+        depth[start] = 0
+        frontier = np.array([start])
+        levels = [frontier]
+        level = 0
+        odd = False
+        while frontier.size:
+            reached = np.concatenate(
+                [indices[indptr[k]:indptr[k + 1]] for k in frontier.tolist()]
+            )
+            seen = depth[reached]
+            odd = odd or bool(np.any(seen == level))
+            fresh = np.sort(reached[seen < 0])
+            first = np.ones(fresh.size, dtype=bool)
+            first[1:] = fresh[1:] != fresh[:-1]
+            frontier = fresh[first]
+            level += 1
+            depth[frontier] = level
+            levels.append(frontier)
+        members.append(np.sort(np.concatenate(levels)))
+        odd_cycle.append(odd)
+    coloring: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    if not all(odd_cycle):
+        comp = members[odd_cycle.index(False)]
+        even = depth[comp] % 2 == 0
+        coloring = (tuple(comp[even].tolist()), tuple(comp[~even].tolist()))
     return StructureReport(
-        connected=len(components) == 1,
-        components=tuple(components),
+        connected=len(members) == 1,
+        components=tuple(tuple(c.tolist()) for c in members),
         bipartite=coloring is not None,
         coloring=coloring,
     )
@@ -110,9 +121,16 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> Spectr
     """
     if tol is None:
         tol = 1e-9 * d.n
-    inv_sqrt = 1.0 / np.sqrt(d.m)
-    sym = inv_sqrt[:, None] * d.M * inv_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
+    root = np.sqrt(d.m)
+    sym = np.zeros((d.n, d.n))
+    for i in range(d.n):
+        # row i's entries above the diagonal, M_ij / sqrt(m_i m_j) with
+        # M_ij = m_i Mbar_ij, written to both triangles: exactly symmetric
+        lo, hi = d.indptr[i], d.indptr[i + 1]
+        j = d.indices[lo:hi]
+        above = j > i
+        j = j[above]
+        sym[i, j] = sym[j, i] = d.weights[lo:hi][above] * root[i] / root[j]
     try:
         eigenvalues = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
@@ -138,7 +156,5 @@ def lopsided_pairs(t: Tournament) -> tuple[tuple[int, int], ...]:
     convergence statement; they are a warning, never an error, because
     convergence itself needs only P1 and P2.
     """
-    a = t.score_matrix
-    mask = np.triu(a + a.T > 0, 1) & ((a == 0) | (a.T == 0))
-    rows, cols = np.nonzero(mask)
-    return tuple(zip(rows.tolist(), cols.tolist()))
+    mask = (t.a_ij == 0) | (t.a_ji == 0)
+    return tuple(zip(t.i[mask].tolist(), t.j[mask].tolist()))

@@ -17,7 +17,6 @@ not at all.
 from __future__ import annotations
 
 import csv
-import io as _stringio
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,44 +131,75 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.array(ratings, dtype=float), True)
 
 
-def parse_tournament_csv(text: str) -> ParsedTournament:
-    rows = list(csv.reader(_stringio.StringIO(text)))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    if len(rows) < 3:
-        raise ParseError("CSV crosstable needs a header row and at least 2 player rows")
-    header = [cell.strip() for cell in rows[0][1:]]
-    n = len(header)
-    if len(rows) - 1 != n:
-        raise ParseError(
-            f"header names {n} players but there are {len(rows) - 1} data rows"
-        )
-    matrix = np.zeros((n, n))
-    labels = []
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
-        if len(row) != n + 1:
-            raise ParseError(f"line {line}: expected {n + 1} cells, got {len(row)}")
-        label = row[0].strip()
-        labels.append(label)
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                if i != j:
-                    raise ParseError(
-                        f"line {line}, column {j + 2}: empty cell off the diagonal"
-                    )
-                continue
-            try:
-                matrix[i, j] = float(cell)
-            except ValueError:
+def _lines(text: str):
+    """Lines of `text` with their endings, split at newlines as a text file is."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> list[float]:
+    """The n numbers of data row i (0-based), or ParseError at its first bad cell."""
+    line = i + 2
+    if len(row) != n + 1:
+        raise ParseError(f"line {line}: expected {n + 1} cells, got {len(row)}")
+    label = row[0].strip()
+    values = []
+    for j, cell in enumerate(row[1:]):
+        cell = cell.strip()
+        if cell == "":
+            if i != j:
                 raise ParseError(
-                    f"line {line}, column {j + 2} ({label} vs {header[j]}): "
-                    f"non-numeric cell {cell!r}"
-                ) from None
+                    f"line {line}, column {j + 2}: empty cell off the diagonal"
+                )
+            values.append(0.0)
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(
+                f"line {line}, column {j + 2} ({label} vs {header[j]}): "
+                f"non-numeric cell {cell!r}"
+            ) from None
+    return values
+
+
+def parse_tournament_csv(text: str) -> ParsedTournament:
+    """Parse a CSV crosstable, converting each row to numbers as it is read.
+
+    Errors keep their precedence: the row count first, then the first bad
+    row or cell, then the labels.
+    """
+    rows = (row for row in csv.reader(_lines(text)) if any(cell.strip() for cell in row))
+    header = [cell.strip() for cell in next(rows, [""])[1:]]
+    n = len(header)
+    values: list[np.ndarray] = []
+    labels = []
+    first_error = None
+    count = 0
+    for i, row in enumerate(rows):
+        count += 1
+        if i >= n or first_error is not None:
+            continue
+        try:
+            values.append(np.array(_crosstable_row(row, i, n, header)))
+        except ParseError as exc:
+            first_error = exc
+        labels.append(row[0].strip())
+    if count < 2:
+        raise ParseError("CSV crosstable needs a header row and at least 2 player rows")
+    if count != n:
+        raise ParseError(f"header names {n} players but there are {count} data rows")
+    if first_error is not None:
+        raise first_error
     if labels != header:
         raise ParseError(
             f"row labels {labels} do not match header labels {header}"
         )
+    matrix = np.array(values)
+    del values
     tournament = Tournament(tuple(labels), matrix)
     return ParsedTournament(tournament, np.zeros(n), False)
 

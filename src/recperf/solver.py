@@ -15,8 +15,14 @@ the solution of
     (I - Mbar) x = chat
 
 pinned so that sum(m_i x_i) equals the total strength of the initial
-ratings. The same pinned solution is available by a direct dense solve,
-which only needs connectivity.
+ratings. The same pinned solution is available by a direct solve, which
+only needs connectivity: multiplied through by D = diag(m), the system is
+the weighted graph Laplacian L x = D chat with L = D - M, symmetric
+positive semidefinite with the constants as its kernel, and
+Jacobi-preconditioned conjugate gradients solve it.
+
+Both methods, and the one-shot performance, apply Mbar through a single
+kernel over the CSR adjacency of `derive`, so every step costs O(pairs).
 """
 
 from __future__ import annotations
@@ -33,19 +39,28 @@ DEFAULT_MAX_ITER = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration hit the iteration cap before the tolerance.
+    """A solver hit its iteration cap before its tolerance.
 
-    The message names the cause: a spectral gap within the spectral
-    tolerance of zero means a bipartite schedule, on which the iteration
-    oscillates; any larger gap means it mixes too slowly for the cap.
+    For the fixed-point iteration the message names the cause: a spectral
+    gap within the spectral tolerance of zero means a bipartite schedule,
+    on which the iteration oscillates; any larger gap means it mixes too
+    slowly for the cap. With `spectral` None the failing solver is the
+    direct solve (conjugate gradients), `step_norm` is its last residual
+    and `spectral_gap` is None.
     """
 
     def __init__(self, iterations: int, step_norm: float,
-                 spectral: diagnostics.SpectralReport, last_iterate: np.ndarray):
+                 spectral: diagnostics.SpectralReport | None, last_iterate: np.ndarray):
         self.iterations = iterations
         self.step_norm = step_norm
-        self.spectral_gap = spectral.spectral_gap
+        self.spectral_gap = None if spectral is None else spectral.spectral_gap
         self.last_iterate = last_iterate
+        if spectral is None:
+            super().__init__(
+                f"direct solve (conjugate gradients) did not converge after "
+                f"{iterations} iterations (residual {step_norm:.3e})"
+            )
+            return
         if self.spectral_gap <= spectral.tol:
             cause = ("is zero: the schedule is bipartite, so the iteration "
                      "oscillates; use --method direct")
@@ -121,10 +136,15 @@ def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
     into the iteration. Two passes keep the weighted sum at rounding level.
     """
     c = offsets(d, model, clamp_scores=clamp_scores)
-    total = float(d.m.sum())
-    chat = c - (d.m @ c) / total
-    chat -= (d.m @ chat) / total
+    shares = d.m / d.m.sum()  # not m itself: tiny game totals would lose digits
+    chat = c - shares @ c
+    chat -= shares @ chat
     return chat
+
+
+def _mbar_dot(d: DerivedMatrices, x: np.ndarray) -> np.ndarray:
+    """Mbar @ x over the CSR adjacency; every row is non-empty."""
+    return np.add.reduceat(d.weights * x[d.indices], d.indptr[:-1])
 
 
 def performance(d: DerivedMatrices, model: RatingModel, r: np.ndarray, *,
@@ -134,8 +154,8 @@ def performance(d: DerivedMatrices, model: RatingModel, r: np.ndarray, *,
     This is the classic tournament performance number: average opponent
     rating plus an offset determined by the achieved score share.
     """
-    r = _as_vector(r, d.n)
-    return d.Mbar @ r + offsets(d, model, clamp_scores=clamp_scores)
+    r = _as_vector(r, d)
+    return _mbar_dot(d, r) + offsets(d, model, clamp_scores=clamp_scores)
 
 
 def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
@@ -148,23 +168,24 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
     P1 and P2 first; on bipartite schedules the iteration oscillates and
     ends in ConvergenceError carrying the spectral gap as a hint.
     """
-    r = _as_vector(r, d.n)
+    r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
     if tol is None:
         tol = 1e-10 * max(1.0, float(np.abs(chat).max()))
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    current = d.Mbar @ r + chat
+    current = _mbar_dot(d, r) + chat
     trace = [current.copy()] if record_trace else None
     step = float("inf")
     for iteration in range(1, max_iter + 1):
-        nxt = d.Mbar @ current + chat
+        nxt = _mbar_dot(d, current)
+        nxt += chat
         step = float(np.abs(nxt - current).max())
         current = nxt
         if trace is not None:
             trace.append(current.copy())
         if step < tol:
-            residual = float(np.abs(current - (d.Mbar @ current + chat)).max())
+            residual = float(np.abs(current - (_mbar_dot(d, current) + chat)).max())
             return SolveOutcome(
                 ratings=current,
                 method="iterative",
@@ -176,15 +197,65 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
     raise ConvergenceError(max_iter, step, diagnostics.spectral_diagnostics(d), current)
 
 
+def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
+    """Solve L y = D chat by Jacobi-preconditioned CG, with sum(m_i y_i) = 0.
+
+    Jacobi-preconditioned CG on L is plain CG on the symmetric
+    D^-1/2 L D^-1/2 = I - D^-1/2 M D^-1/2 in u = D^1/2 y, which is how it
+    runs here: with D scaled to max 1 (which changes nothing), sqrt(m)
+    stays clear of underflow even for subnormal game totals. Its residual
+    divided by sqrt(m) is the fixed-point residual chat - (y - Mbar y),
+    so CG stops on the max norm the solve reports: at most
+    1e-13 * max(1, |chat|_inf), or a few rounding units of |y|_inf when
+    that is larger (the residual cannot be evaluated more finely). When
+    the recurred residual passes, the true one is recomputed, and CG
+    restarts from it if it does not. Starting at 0, every update lies in
+    the weighted complement of e, which a final projection restores
+    against rounding. Raises ConvergenceError after 10 n iterations, or
+    sooner if rounding leaves a direction of non-positive curvature.
+    """
+    root = np.sqrt(d.m)
+    root /= root.max()
+    floor = 1e-13 * max(1.0, float(np.abs(chat).max()))
+    rounding = 16 * np.finfo(float).eps  # evaluation error per unit of |y|_inf
+    u = np.zeros(d.n)
+    res = root * chat  # the residual at u = 0
+
+    def converged() -> bool:
+        return (float(np.abs(res / root).max())
+                <= max(floor, rounding * float(np.abs(u / root).max())))
+
+    iterations = 0
+    while not converged():
+        p = res.copy()
+        rr = float(res @ res)
+        while not converged():
+            q = p - root * _mbar_dot(d, p / root)
+            curvature = float(p @ q)
+            if iterations == 10 * d.n or not curvature > 0:
+                raise ConvergenceError(iterations, float(np.abs(res / root).max()),
+                                       None, u / root)
+            alpha = rr / curvature
+            u += alpha * p
+            res -= alpha * q
+            rr, rr_old = float(res @ res), rr
+            p *= rr / rr_old
+            p += res
+            iterations += 1
+        res = root * chat - (u - root * _mbar_dot(d, u / root))
+    y = u / root
+    y -= (d.m / d.m.sum()) @ y
+    return y
+
+
 def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
                  clamp_scores: bool = False,
                  structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
     """Solve (I - Mbar) x = chat pinned by strength conservation.
 
-    The singular rank-(n-1) system is replaced by the equivalent nonsingular
-    one (I - Mbar + e w^T) x = chat + rho e, with w the games shares and rho
-    the games-weighted mean of r: on the weighted complement of e the
-    operator is unchanged, and the rank-one term bakes in the constraint
+    Conjugate gradients solve the equivalent Laplacian system L y = D chat
+    for the part y with sum(m_i y_i) = 0, and x = y + rho e with rho the
+    games-weighted mean of r bakes in the constraint
     sum(m_i x_i) = sum(m_i r_i). Needs connectivity only; bipartite
     schedules are fine here even though the iteration diverges on them.
     A caller that already holds `check_structure(d)` passes it as
@@ -194,14 +265,11 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
         structure = diagnostics.check_structure(d)
     if not structure.connected:
         raise SingularSystemError(structure.components)
-    r = _as_vector(r, d.n)
+    r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
-    total = float(d.m.sum())
-    weights = d.m / total
-    rho = float(d.m @ r) / total
-    system = np.eye(d.n) - d.Mbar + np.outer(np.ones(d.n), weights)
-    x = np.linalg.solve(system, chat + rho)
-    residual = float(np.abs((x - d.Mbar @ x) - chat).max())
+    rho = float((d.m / d.m.sum()) @ r)
+    x = _conjugate_gradients(d, chat) + rho
+    residual = float(np.abs((x - _mbar_dot(d, x)) - chat).max())
     return SolveOutcome(
         ratings=x,
         method="direct",
@@ -211,12 +279,19 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
     )
 
 
-def _as_vector(r: np.ndarray | None, n: int) -> np.ndarray:
+def _as_vector(r: np.ndarray | None, d: DerivedMatrices) -> np.ndarray:
     if r is None:
-        return np.zeros(n)
+        return np.zeros(d.n)
     r = np.asarray(r, dtype=float)
-    if r.shape != (n,):
-        raise ValueError(f"expected a rating vector of length {n}, got shape {r.shape}")
+    if r.shape != (d.n,):
+        raise ValueError(f"expected a rating vector of length {d.n}, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("initial ratings must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(d.m @ r)
+    if not np.isfinite(total):
+        raise ValueError(
+            "initial_ratings too large: their games-weighted total "
+            "sum(m_i r_i) is not finite"
+        )
     return r

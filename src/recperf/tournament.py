@@ -1,11 +1,17 @@
-"""Tournament data model and the matrices derived from it.
+"""Tournament data model and the opponent weighting derived from it.
 
-A tournament is a set of player labels plus a nonnegative score matrix A
-with zero diagonal: A[i, j] is the total score player i collected against
-player j over all their games. Every game awards a total of one point
-between the two players, so M = A + A.T counts games per pair and row sums
-of M count games per player. Everything downstream (opponent averaging,
-average scores, the weighted inner product) is derived from A alone.
+A tournament is a set of player labels plus the pairs that played: for
+each pair i < j with at least one game, a_ij is the total score player i
+collected against player j and a_ji the total of j against i. Every game
+awards a total of one point between the two players, so M_ij = a_ij + a_ji
+counts the games of the pair and the row sums m of M count games per
+player. Pairs that never met are not stored, so memory is O(pairs), not
+O(n^2): the dense score matrix A exists only when `score_matrix` is read.
+
+`derive` turns the pairs into a CSR adjacency (each player's opponents in
+ascending order) carrying the weights M_ij / m_i of the row-stochastic
+matrix Mbar, plus m and the average scores s. Everything downstream (the
+solvers, the traversal, the spectrum) works from that.
 """
 
 from __future__ import annotations
@@ -20,47 +26,51 @@ class TournamentDataError(ValueError):
     """Raised when tournament data violates a structural invariant."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
 
-@dataclass(frozen=True, eq=False)
+def _labels(players: Sequence[str]) -> tuple[str, ...]:
+    players = tuple(str(p) for p in players)
+    n = len(players)
+    if n < 2:
+        raise TournamentDataError(f"need at least 2 players, got {n}")
+    if any(not p for p in players):
+        raise TournamentDataError("player labels must be non-empty")
+    if len(set(players)) != n:
+        dupes = sorted({p for p in players if players.count(p) > 1})
+        raise TournamentDataError(f"duplicate player labels: {dupes}")
+    return players
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Tournament:
-    """Player labels plus the pairwise score matrix.
+    """Player labels plus the aggregated scores of every pair that played.
+
+    Built from a dense crosstable as `Tournament(players, score_matrix)`,
+    or from game records by `build_tournament`.
 
     Attributes:
         players: distinct non-empty labels, length n >= 2.
-        score_matrix: n x n nonnegative matrix with zero diagonal; entry
-            (i, j) is the total score of i against j. Every player's game
-            total (row sum of A + A.T) is positive, and their sum is
-            finite.
+        i, j: int32 indices of the pairs with at least one game, i < j,
+            sorted row-major.
+        a_ij, a_ji: per pair, the total score of i against j and of j
+            against i; nonnegative, with a positive sum. Every player's
+            game total is positive, and their sum is finite.
     """
 
     players: tuple[str, ...]
-    score_matrix: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    a_ij: np.ndarray
+    a_ji: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tournament):
-            return NotImplemented
-        return self.players == other.players and np.array_equal(
-            self.score_matrix, other.score_matrix
-        )
-
-    def __post_init__(self) -> None:
-        players = tuple(str(p) for p in self.players)
-        object.__setattr__(self, "players", players)
+    def __init__(self, players: Sequence[str], score_matrix: np.ndarray) -> None:
+        players = _labels(players)
         n = len(players)
-        if n < 2:
-            raise TournamentDataError(f"need at least 2 players, got {n}")
-        if any(not p for p in players):
-            raise TournamentDataError("player labels must be non-empty")
-        if len(set(players)) != n:
-            dupes = sorted({p for p in players if players.count(p) > 1})
-            raise TournamentDataError(f"duplicate player labels: {dupes}")
-
-        a = np.asarray(self.score_matrix, dtype=float)
+        a = np.asarray(score_matrix, dtype=float)
         if a.shape != (n, n):
             raise TournamentDataError(
                 f"score matrix shape {a.shape} does not match {n} players"
@@ -78,40 +88,84 @@ class Tournament:
             raise TournamentDataError(
                 f"nonzero diagonal entry for {players[i]}: a player cannot score against himself"
             )
+        i, j = (k.astype(np.int32) for k in np.nonzero(np.triu((a > 0) | (a.T > 0), 1)))
+        self._set(players, i, j, a[i, j], a[j, i])
+
+    @classmethod
+    def _from_pairs(cls, players: tuple[str, ...], i: np.ndarray, j: np.ndarray,
+                    a_ij: np.ndarray, a_ji: np.ndarray) -> Tournament:
+        """A tournament from pairs already aggregated, with i < j row-major."""
+        t = cls.__new__(cls)
+        t._set(_labels(players), i, j, a_ij, a_ji)
+        return t
+
+    def _set(self, players, i, j, a_ij, a_ji) -> None:
+        n = len(players)
         with np.errstate(over="ignore"):
-            games = (a + a.T).sum(axis=1)
+            pair_games = a_ij + a_ji
+            games = (np.bincount(i, pair_games, minlength=n)
+                     + np.bincount(j, pair_games, minlength=n))
             all_games = games.sum()
         if not np.isfinite(all_games):
-            huge = [players[i] for i in np.nonzero(~np.isfinite(games))[0]]
+            huge = [players[k] for k in np.nonzero(~np.isfinite(games))[0]]
             raise TournamentDataError(
                 f"game totals overflow for players: {huge}" if huge
                 else "game totals overflow when summed over all players"
             )
         if np.any(games == 0):
-            idle = [players[i] for i in np.nonzero(games == 0)[0]]
+            idle = [players[k] for k in np.nonzero(games == 0)[0]]
             raise TournamentDataError(f"players with no games: {idle}")
-        object.__setattr__(self, "score_matrix", _frozen(a))
+        for name, value in (("players", players), ("i", _frozen(i, np.int32)),
+                            ("j", _frozen(j, np.int32)), ("a_ij", _frozen(a_ij)),
+                            ("a_ji", _frozen(a_ji))):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tournament):
+            return NotImplemented
+        return self.players == other.players and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("i", "j", "a_ij", "a_ji")
+        )
 
     @property
     def n(self) -> int:
         return len(self.players)
 
+    @property
+    def score_matrix(self) -> np.ndarray:
+        """The dense n x n score matrix A, built on every access (read-only).
+
+        Entry (i, j) is the total score of i against j; pairs that never
+        met read 0. For crosstable output and tests: it costs O(n^2).
+        """
+        a = np.zeros((self.n, self.n))
+        a[self.i, self.j] = self.a_ij
+        a[self.j, self.i] = self.a_ji
+        a.flags.writeable = False
+        return a
+
 
 @dataclass(frozen=True)
 class DerivedMatrices:
-    """Matrices and vectors derived from a tournament's score matrix.
+    """The opponent weighting Mbar as a CSR adjacency, plus m and s.
 
     Attributes:
-        M: symmetric games-per-pair matrix, A + A.T.
         m: games played by each player (row sums of M, all positive).
-        Mbar: row-stochastic opponent-weighting matrix, M[i, j] / m[i].
         s: average score per player, row sums of A divided by m.
+        indptr: length n + 1; the opponents of player i are
+            indices[indptr[i]:indptr[i + 1]], in ascending order. Every
+            row is non-empty.
+        indices: opponent index of each entry.
+        weights: Mbar's entry M_ij / m_i for each (i, opponent j); each
+            row sums to 1.
     """
 
-    M: np.ndarray
     m: np.ndarray
-    Mbar: np.ndarray
     s: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -135,8 +189,8 @@ def build_tournament(
     if len(set(players)) != len(players):
         dupes = sorted({p for p in players if players.count(p) > 1})
         raise TournamentDataError(f"duplicate player labels: {dupes}")
-    index = {p: i for i, p in enumerate(players)}
-    a = np.zeros((len(players), len(players)))
+    index = {p: k for k, p in enumerate(players)}
+    first, second, scores = [], [], []
     for rec_no, (pa, pb, score_a) in enumerate(match_records, start=1):
         if pa not in index:
             raise TournamentDataError(f"record {rec_no}: unknown player {pa!r}")
@@ -151,25 +205,58 @@ def build_tournament(
             raise TournamentDataError(
                 f"record {rec_no}: score {score_a} outside [0, 1]"
             )
-        a[index[pa], index[pb]] += score_a
-        a[index[pb], index[pa]] += 1.0 - score_a
-    return Tournament(players, a)
+        first.append(index[pa])
+        second.append(index[pb])
+        scores.append(score_a)
+    first, second = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+    score = np.array(scores, dtype=float)
+    swap = first > second
+    lo = np.where(swap, second, first)
+    hi = np.where(swap, first, second)
+    # number the distinct pairs row-major (np.unique would do, but it
+    # imports numpy.ma, a tenth of the package's start-up time)
+    key = lo * len(players) + hi
+    order = np.argsort(key, kind="stable")
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    pair = np.empty(key.size, dtype=np.intp)
+    pair[order] = np.cumsum(new) - 1
+    keys = key[order[new]]
+    # bincount adds each pair's games in record order, as a loop would
+    a_lo = np.bincount(pair, np.where(swap, 1.0 - score, score), minlength=keys.size)
+    a_hi = np.bincount(pair, np.where(swap, score, 1.0 - score), minlength=keys.size)
+    i, j = np.divmod(keys, len(players))
+    return Tournament._from_pairs(players, i, j, a_lo, a_hi)
 
 
 def derive(t: Tournament) -> DerivedMatrices:
-    """Compute the games matrix, per-player game counts, the row-stochastic
-    opponent-weighting matrix and the average scores.
+    """Build Mbar's CSR adjacency, the game counts m and the average scores s.
 
     Every game count is positive and finite; `Tournament` guarantees it.
     """
-    a = t.score_matrix
-    big_m = a + a.T
-    m = big_m.sum(axis=1)
-    mbar = big_m / m[:, None]
-    s = a.sum(axis=1) / m
+    n = t.n
+    pair_games = t.a_ij + t.a_ji
+    m = np.bincount(t.i, pair_games, minlength=n) + np.bincount(t.j, pair_games, minlength=n)
+    s = (np.bincount(t.i, t.a_ij, minlength=n) + np.bincount(t.j, t.a_ji, minlength=n)) / m
+    # Entry k < pairs is pair k seen from j (opponent i), entry pairs + k is
+    # pair k seen from i (opponent j). Opponents below a player come from
+    # the first half in ascending i, those above from the second half in
+    # ascending j, so a stable sort by row leaves every row ascending.
+    rows = np.concatenate([t.j, t.i])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    del rows
+    # intp, not int32: gathering x[indices] with int32 indices converts
+    # them on every call, which the iteration makes tens of thousands of
+    indices = np.concatenate([t.i, t.j])[order].astype(np.intp)
+    weights = np.take(pair_games, order, mode="wrap")
+    del order
+    weights /= np.repeat(m, np.diff(indptr))
     return DerivedMatrices(
-        M=_frozen(big_m),
         m=_frozen(m),
-        Mbar=_frozen(mbar),
         s=_frozen(s),
+        indptr=_frozen(indptr, np.intp),
+        indices=_frozen(indices, np.intp),
+        weights=_frozen(weights),
     )

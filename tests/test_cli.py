@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -53,6 +54,17 @@ class TestRank:
             capsys, "rank", str(FIXTURES / "reference.csv"), "--format", "json"
         )
         assert json.loads(out_json) == json.loads(out_csv)
+
+    def test_direct_solve_at_its_cap_exits_5(self, capsys, monkeypatch):
+        # a weighting that is not D^-1 M for a symmetric M: CG cannot converge
+        # and must say so after 10 n = 30 steps rather than return
+        derive = recperf.cli.derive
+        monkeypatch.setattr(recperf.cli, "derive", lambda t: dataclasses.replace(
+            derive(t), weights=np.array([0.9, 0.1, 0.1, 0.9, 0.5, 0.5])))
+        code, out, err = run(capsys, "rank", REFERENCE)
+        assert code == EXIT_NO_CONVERGENCE
+        assert "direct solve (conjugate gradients) did not converge after 30" in err
+        assert out == ""
 
     def test_methods_agree(self, capsys):
         code, out, _ = run(capsys, "rank", REFERENCE, "--method", "both", "--format", "json")
@@ -285,6 +297,21 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "overflow for players: ['A', 'B', 'C']" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["rank", "--method", "iterative"], ["rank", "--method", "both"],
+        ["performance"], ["performance", "--compare"],
+    ], ids=" ".join)
+    def test_overflowing_initial_ratings_exit_2(self, capsys, tmp_path, command):
+        # each rating is finite, but their games-weighted total is not
+        doc = json.loads(Path(REFERENCE).read_text())
+        doc["initial_ratings"] = [1e308, 1e308, 0]
+        path = tmp_path / "huge_ratings.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == EXIT_PARSE
+        assert "initial_ratings" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["rank", "check", "performance"])
     @pytest.mark.parametrize("matches", [

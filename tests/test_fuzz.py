@@ -4,8 +4,11 @@ Whatever a JSON or CSV input holds, `recperf.cli.main` must end in one of
 its documented exit codes and never in 1 (an unexpected exception). Each
 input starts as a well-formed tournament, so that it reaches the solver;
 then up to two numbers may become extremes (1e308, NaN, inf, negative; two
-huge scores can overflow a player's game total) and one field, row or cell
-may be replaced by a value of the wrong type or size.
+huge scores can overflow a player's game total), the initial ratings may
+all be huge (their games-weighted total overflows), and one field, row or
+cell may be replaced by a value of the wrong type or size. Numpy's
+RuntimeWarnings are errors under pytest, so an overflow that only warns
+fails here too.
 """
 
 import contextlib
@@ -107,8 +110,10 @@ def json_documents(draw):
     if body in ("crosstable", "both"):
         doc["crosstable"] = _crosstable(draw, n)
     if draw(st.booleans()):
-        doc["initial_ratings"] = _extreme(draw, draw(st.lists(
-            st.integers(-3000, 3000), min_size=n, max_size=n)))
+        doc["initial_ratings"] = _extreme(draw, draw(st.one_of(
+            st.lists(st.integers(-3000, 3000), min_size=n, max_size=n),
+            st.lists(st.sampled_from([1e308, -1e308, 5e307]), min_size=n, max_size=n),
+        )))
     if draw(st.booleans()):
         doc = _corrupt(draw, doc)
     return json.dumps(doc)

@@ -22,6 +22,7 @@ from recperf import (
 from conftest import random_tournament
 from reference import (
     centering_drift,
+    dense_derive,
     consistency_residual,
     min_shift_distance,
     permute_tournament,
@@ -62,7 +63,7 @@ class TestPerformance:
         )
         d = derive(t)
         r = np.array([2100.0, 2000.0, 1900.0])
-        assert np.allclose(performance(d, MODEL, r), d.Mbar @ r)
+        assert np.allclose(performance(d, MODEL, r), dense_derive(t).Mbar @ r)
 
     def test_reference_elo_performance(self):
         d = derive(reference_tournament())
@@ -78,7 +79,7 @@ class TestPerformance:
         t = random_tournament(rng)
         d = derive(t)
         r = rng.uniform(1500, 2500, d.n)
-        expected = d.Mbar @ r - 400.0 * np.log10(1.0 / d.s - 1.0)
+        expected = dense_derive(t).Mbar @ r - 400.0 * np.log10(1.0 / d.s - 1.0)
         assert np.allclose(performance(d, MODEL, r), expected, atol=1e-9)
 
     def test_defining_property(self):
@@ -87,7 +88,7 @@ class TestPerformance:
         d = derive(t)
         r = rng.uniform(0, 1000, d.n)
         p = performance(d, MODEL, r)
-        avg = d.Mbar @ r
+        avg = dense_derive(t).Mbar @ r
         for i in range(d.n):
             assert MODEL.expected_score(p[i], avg[i]) == pytest.approx(d.s[i], abs=1e-9)
 
@@ -300,6 +301,18 @@ class TestSolveDirect:
         moved = permute_tournament(t, perm)
         x_moved = solve_direct(derive(moved), MODEL, r[np.argsort(perm)]).ratings
         assert np.abs(x_moved[perm] - x).max() <= 1e-9
+
+    def test_subnormal_game_totals_solve_like_unit_ones(self):
+        # the solve is invariant to scaling every game total; at 1e-315 the
+        # totals are subnormal and m_i * x_i products lose most digits
+        rng = np.random.default_rng(57)
+        a = rng.uniform(0.05, 0.95, (5, 5))
+        np.fill_diagonal(a, 0.0)
+        names = ("A", "B", "C", "D", "E")
+        unit = solve_direct(derive(Tournament(names, a)), MODEL)
+        tiny = solve_direct(derive(Tournament(names, a * 1e-315)), MODEL)
+        assert np.abs(tiny.ratings - unit.ratings).max() <= 1e-5
+        assert tiny.residual <= 1e-12
 
     def test_n2_degenerate_returns_gap(self):
         # a two-player tournament: P2 always fails but the direct solve is defined
