@@ -36,6 +36,7 @@ from .ranking import Ranking, rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
 from .solver import (
     DEFAULT_MAX_ITER,
+    DEFAULT_SOLVE_TOL,
     ConvergenceError,
     SingularSystemError,
     SolveOutcome,
@@ -52,8 +53,6 @@ EXIT_DISCONNECTED = 3
 EXIT_BOUNDARY = 4
 EXIT_NO_CONVERGENCE = 5
 
-DEFAULT_SOLVE_TOL = 1e-10
-
 
 def _model_spec(model: RatingModel) -> str:
     return f"{model.family}:{model.scale:g}"
@@ -69,10 +68,17 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _player_name(players: Sequence[str], who) -> str:
-    if isinstance(who, (int, np.integer)):
-        return players[int(who)]
-    return str(who)
+def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreError,
+             clamp_hint: bool = False) -> int:
+    """Word a P1 or boundary-score refusal with player labels; return its exit code."""
+    if isinstance(exc, SingularSystemError):
+        _note("P1 violated: tournament splits into independent groups: "
+              + _fmt_groups(players, exc.components))
+        return EXIT_DISCONNECTED
+    _note(f"boundary score: player {players[exc.player]} has average score "
+          f"{exc.value:g}; offsets need scores strictly inside (0, 1)"
+          + ("; pass --clamp-scores to override" if clamp_hint else ""))
+    return EXIT_BOUNDARY
 
 
 def _print_diag_summary(
@@ -155,9 +161,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     structure = check_structure(d)
 
     if not structure.connected:
-        _note("P1 violated: tournament splits into independent groups: "
-              + _fmt_groups(t.players, structure.components))
-        return EXIT_DISCONNECTED
+        return _refusal(t.players, SingularSystemError(structure.components))
     if args.method in ("iterative", "both") and structure.bipartite:
         _note(f"P2 violated (bipartition {_fmt_groups(t.players, structure.coloring)}): "
               "the fixed-point iteration oscillates and cannot converge; "
@@ -178,11 +182,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 clamp_scores=args.clamp_scores,
             )
     except BoundaryScoreError as exc:
-        who = _player_name(t.players, exc.player)
-        _note(f"boundary score: player {who} has average score {exc.value:g}; "
-              "offsets need scores strictly inside (0, 1); "
-              "pass --clamp-scores to override")
-        return EXIT_BOUNDARY
+        return _refusal(t.players, exc, clamp_hint=not args.clamp_scores)
 
     primary = outcomes.get("direct") or outcomes["iterative"]
     tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
@@ -271,11 +271,8 @@ def cmd_performance(args: argparse.Namespace) -> int:
         recursive = None
         if args.compare:
             recursive = solve_direct(d, model, parsed.initial_ratings).ratings
-    except BoundaryScoreError as exc:
-        who = _player_name(t.players, exc.player)
-        _note(f"boundary score: player {who} has average score {exc.value:g}; "
-              "performance is defined only for scores strictly inside (0, 1)")
-        return EXIT_BOUNDARY
+    except (SingularSystemError, BoundaryScoreError) as exc:
+        return _refusal(t.players, exc)
 
     if args.format == "json":
         entries = []
@@ -413,12 +410,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, TournamentDataError, FileNotFoundError) as exc:
         _note(f"error: {exc}")
         return EXIT_PARSE
-    except SingularSystemError as exc:
-        _note(f"P1 violated: {exc}")
-        return EXIT_DISCONNECTED
-    except BoundaryScoreError as exc:
-        _note(f"boundary score: {exc}")
-        return EXIT_BOUNDARY
     except ConvergenceError as exc:
         _note(f"{exc}")
         return EXIT_NO_CONVERGENCE

@@ -11,7 +11,7 @@ components, and include -1 exactly for bipartite schedules.
 The traversal walks the CSR adjacency of `derive` one BFS level at a time,
 in O(n + pairs). The spectrum needs the full n x n symmetric matrix for a
 dense eigensolver; it is the only O(n^2)-memory, O(n^3)-time check, and
-only `check --spectral` (and a failed iteration's error message) runs it.
+only `check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class SpectralReport:
     multiplicity_one: int
     has_minus_one: bool
     spectral_gap: float
-    tol: float
 
 
 def check_structure(d: DerivedMatrices) -> StructureReport:
@@ -145,7 +144,6 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> Spectr
         multiplicity_one=int(near_one.sum()),
         has_minus_one=bool(np.any(np.abs(eigenvalues + 1.0) <= tol)),
         spectral_gap=gap,
-        tol=tol,
     )
 
 

@@ -82,16 +82,18 @@ class SimulationResult:
 
 def _schedule_pairs(config: SimulationConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     n = config.n
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if config.schedule.kind == "round_robin":
-        return all_pairs * config.schedule.count
+        return [(i, j) for i in range(n) for j in range(i + 1, n)] * config.schedule.count
 
+    # pair k of the row-major list of all i < j lies in the last row whose
+    # first pair index starts[i] is <= k, so no O(n^2) list is built
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
     for _ in range(MAX_SCHEDULE_RETRIES):
-        picks = rng.integers(0, len(all_pairs), size=config.schedule.count)
-        pairs = [all_pairs[k] for k in picks]
-        seen = {i for pair in pairs for i in pair}
-        if len(seen) == n:
-            return pairs
+        picks = rng.integers(0, n * (n - 1) // 2, size=config.schedule.count)
+        first = np.searchsorted(starts, picks, side="right") - 1
+        second = picks - starts[first] + first + 1
+        if np.bincount(np.concatenate([first, second]), minlength=n).all():
+            return list(zip(first.tolist(), second.tolist()))
     raise ValueError(
         f"random schedule of {config.schedule.count} games kept leaving a player "
         f"idle after {MAX_SCHEDULE_RETRIES} attempts; increase the game count"

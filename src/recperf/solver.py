@@ -36,41 +36,42 @@ from .models import BoundaryScoreError, RatingModel
 from .tournament import DerivedMatrices
 
 DEFAULT_MAX_ITER = 100_000
+DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to max(1, |chat|_inf)
 
 
 class ConvergenceError(RuntimeError):
     """A solver hit its iteration cap before its tolerance.
 
-    For the fixed-point iteration the message names the cause: a spectral
-    gap within the spectral tolerance of zero means a bipartite schedule,
-    on which the iteration oscillates; any larger gap means it mixes too
-    slowly for the cap. With `spectral` None the failing solver is the
-    direct solve (conjugate gradients), `step_norm` is its last residual
-    and `spectral_gap` is None.
+    For the fixed-point iteration the message names the cause that the
+    BFS verdict `structure` shows: a split schedule, a bipartite one (the
+    iteration oscillates), or else slow mixing. With `structure` None the
+    failing solver is the direct solve (conjugate gradients) and
+    `step_norm` is its last residual.
     """
 
     def __init__(self, iterations: int, step_norm: float,
-                 spectral: diagnostics.SpectralReport | None, last_iterate: np.ndarray):
+                 structure: diagnostics.StructureReport | None, last_iterate: np.ndarray):
         self.iterations = iterations
         self.step_norm = step_norm
-        self.spectral_gap = None if spectral is None else spectral.spectral_gap
         self.last_iterate = last_iterate
-        if spectral is None:
+        if structure is None:
             super().__init__(
                 f"direct solve (conjugate gradients) did not converge after "
                 f"{iterations} iterations (residual {step_norm:.3e})"
             )
             return
-        if self.spectral_gap <= spectral.tol:
-            cause = ("is zero: the schedule is bipartite, so the iteration "
+        if not structure.connected:
+            cause = (f"splits into {len(structure.components)} independent groups, "
+                     "whose ratings drift apart")
+        elif structure.bipartite:
+            cause = ("is bipartite (spectral gap zero), so the iteration "
                      "oscillates; use --method direct")
         else:
-            cause = ("means the schedule mixes slowly; raise --max-iter "
-                     "or use --method direct")
+            cause = ("has an odd cycle (spectral gap positive) but mixes slowly; "
+                     "raise --max-iter or use --method direct")
         super().__init__(
             f"no convergence after {iterations} iterations "
-            f"(last step {step_norm:.3e}); spectral gap "
-            f"{self.spectral_gap:.3e} {cause}"
+            f"(last step {step_norm:.3e}): the schedule {cause}"
         )
 
 
@@ -108,12 +109,13 @@ def _interior_scores(d: DerivedMatrices, clamp_scores: bool) -> np.ndarray:
 
     Clamping maps s_i into [eps_i, 1 - eps_i] with eps_i = 1/(2 m_i + 2).
     It is an opt-in escape hatch for all-win/all-loss players and sits
-    outside the model the ratings are derived from.
+    outside the model the ratings are derived from. Clamped scores are
+    checked too: past about 2^52 games 1 - eps_i rounds to 1.
     """
     s = d.s
     if clamp_scores:
         eps = 1.0 / (2.0 * d.m + 2.0)
-        return np.clip(s, eps, 1.0 - eps)
+        s = np.clip(s, eps, 1.0 - eps)
     boundary = np.nonzero((s <= 0.0) | (s >= 1.0))[0]
     if boundary.size:
         i = int(boundary[0])
@@ -164,14 +166,15 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat.
 
     Stops when the infinity-norm step drops below `tol` (default
-    1e-10 * max(1, |chat|_inf)). The caller is expected to have verified
-    P1 and P2 first; on bipartite schedules the iteration oscillates and
-    ends in ConvergenceError carrying the spectral gap as a hint.
+    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)). The caller is expected to have
+    verified P1 and P2 first; on bipartite schedules the iteration
+    oscillates and ends in ConvergenceError, worded from a BFS run only
+    on that failure.
     """
     r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
     if tol is None:
-        tol = 1e-10 * max(1.0, float(np.abs(chat).max()))
+        tol = DEFAULT_SOLVE_TOL * max(1.0, float(np.abs(chat).max()))
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     current = _mbar_dot(d, r) + chat
@@ -194,7 +197,7 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
                 pinned_total=float(d.m @ current),
                 trace=tuple(trace) if trace is not None else None,
             )
-    raise ConvergenceError(max_iter, step, diagnostics.spectral_diagnostics(d), current)
+    raise ConvergenceError(max_iter, step, diagnostics.check_structure(d), current)
 
 
 def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:

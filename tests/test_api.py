@@ -1,6 +1,7 @@
 """The public surface of `recperf`: what `__all__` exports and what README shows."""
 
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -54,6 +55,19 @@ def test_all_lists_exactly_the_public_names():
     assert recperf.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(recperf, name), name
+
+
+def test_report_fields_and_error_attributes():
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert fields(recperf.StructureReport) == ["connected", "components", "bipartite", "coloring"]
+    assert fields(recperf.SpectralReport) == [
+        "eigenvalues", "multiplicity_one", "has_minus_one", "spectral_gap"]
+    assert fields(recperf.SolveOutcome) == [
+        "ratings", "method", "iterations", "residual", "pinned_total", "trace"]
+    err = recperf.ConvergenceError(7, 0.5, None, None)
+    assert list(vars(err)) == ["iterations", "step_norm", "last_iterate"]
 
 
 def test_readme_python_example_runs():

@@ -91,6 +91,19 @@ class TestRank:
         assert code == EXIT_OK
         assert "A" in out
 
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    def test_boundary_after_clamping_names_player(self, capsys, tmp_path, method):
+        # past 2^52 games the clamped score 1 - 1/(2m + 2) rounds back to 1
+        path = tmp_path / "many_wins.json"
+        path.write_text(json.dumps({
+            "players": ["A", "B", "C"],
+            "crosstable": [[0, 1e17, 1], [0, 0, 1], [1, 1, 0]],
+        }))
+        code, _, err = run(capsys, "rank", str(path), "--clamp-scores", "--method", method)
+        assert code == EXIT_BOUNDARY
+        assert "player A has average score 1" in err
+        assert "--clamp-scores" not in err
+
     def test_iterative_on_bipartite_suggests_direct(self, capsys):
         code, _, err = run(
             capsys, "rank", str(FIXTURES / "team_2v2.json"), "--method", "iterative"
@@ -211,7 +224,16 @@ class TestPerformance:
     def test_boundary_exit(self, capsys):
         code, _, err = run(capsys, "performance", str(FIXTURES / "boundary.json"))
         assert code == EXIT_BOUNDARY
+        assert "player A" in err
         assert "strictly inside (0, 1)" in err
+        assert "--clamp-scores" not in err
+
+    def test_disconnected_compare_names_players(self, capsys):
+        code, _, err = run(
+            capsys, "performance", str(FIXTURES / "disconnected.json"), "--compare"
+        )
+        assert code == EXIT_DISCONNECTED
+        assert "{A, B} | {C, D}" in err
 
 
 class TestSimulate:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from recperf import (
+    ConvergenceError,
     SingularSystemError,
     Tournament,
     build_tournament,
@@ -28,8 +29,9 @@ from recperf import (
     parse_tournament,
     solve_direct,
     spectral_diagnostics,
+    tournament_to_json,
 )
-from recperf.cli import EXIT_OK, main
+from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 from reference import (
     dense_derive,
@@ -101,6 +103,22 @@ def test_chain_with_triangle_agrees():
     assert_agrees(chain_with_triangle(500), iterates=False)
 
 
+def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
+    # P2 holds, yet the spectral gap (5.5e-7) is below a tolerance of 1e-9 n,
+    # so a spectral verdict would wrongly call this schedule bipartite
+    t = chain_with_triangle(1500)
+    with pytest.raises(ConvergenceError) as excinfo:
+        iterate(derive(t), MODEL, max_iter=10)
+    assert "mixes slowly" in str(excinfo.value)
+    assert "bipartite" not in str(excinfo.value)
+    path = tmp_path / "chain.json"
+    path.write_text(tournament_to_json(t))
+    code = main(["rank", str(path), "--method", "iterative", "--max-iter", "1000"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NO_CONVERGENCE
+    assert "mixes slowly" in err and "bipartite" not in err
+
+
 @pytest.mark.parametrize("name, iterates", [
     ("team_2v2.json", False),  # bipartite: the iteration oscillates
     ("disconnected.json", False),
@@ -133,6 +151,19 @@ def sparse_schedule_json(path: Path, n: int, games: int) -> None:
     }))
 
 
+def traced_main(argv: list[str]) -> tuple[int, str, int]:
+    """Exit code, stdout and tracemalloc peak of one CLI run."""
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out.getvalue(), peak
+
+
 def test_memory_stays_linear_in_pairs(tmp_path):
     # one dense n x n float array at n = 5000 would be 200 MB
     path = tmp_path / "sparse.json"
@@ -140,14 +171,11 @@ def test_memory_stays_linear_in_pairs(tmp_path):
     d = derive(load_tournament(path).tournament)
     assert sum(a.nbytes for a in (d.m, d.s, d.indptr, d.indices, d.weights)) < 1_000_000
     del d
-    out = io.StringIO()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["rank", str(path), "--method", "both", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, out, peak = traced_main(["rank", str(path), "--method", "both", "--format", "json"])
     assert code == EXIT_OK
-    assert len(json.loads(out.getvalue())["players"]) == 5000
+    assert len(json.loads(out)["players"]) == 5000
+    assert peak < 40_000_000
+    # the failure path words its error from the BFS, not from the spectrum
+    code, _, peak = traced_main(["rank", str(path), "--method", "iterative", "--max-iter", "5"])
+    assert code == EXIT_NO_CONVERGENCE
     assert peak < 40_000_000

@@ -10,6 +10,7 @@ from recperf import (
     simulate_tournament,
     solve_direct,
 )
+from recperf.simulate import _schedule_pairs
 
 from reference import dense_derive
 
@@ -52,6 +53,20 @@ class TestSchedules:
         d = derive(result.tournament())
         assert np.all(d.m >= 1)
         assert float(dense_derive(result.tournament()).M.sum()) == 2 * 30
+
+    @pytest.mark.parametrize("n, games", [(2, 3), (3, 4), (7, 12), (50, 400)])
+    def test_random_pairs_decode_the_listed_pairs(self, n, games):
+        # the oracle indexes the row-major list of all i < j with the same draws
+        listed = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            while True:
+                expected = [listed[k] for k in rng.integers(0, len(listed), size=games)]
+                if len({i for pair in expected for i in pair}) == n:
+                    break
+            got = _schedule_pairs(config(n=n, schedule=Schedule("random", games)),
+                                  np.random.default_rng(seed))
+            assert got == expected
 
     def test_too_few_random_games_rejected(self):
         # 2 games cannot cover 6 players; the retry loop must give up
