@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -66,6 +67,14 @@ def _fmt_groups(players: Sequence[str], groups) -> str:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _print_json(doc: dict) -> None:
+    """Print `doc` as indented JSON in batches: no whole-report string, few writes."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(islice(pieces, 4096)):
+        sys.stdout.write(batch)
+    print()
 
 
 def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreError,
@@ -220,7 +229,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             ),
         }
         del parsed, t  # nor are the pairs, once the report holds the witnesses
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"model {_model_spec(model)}   method {args.method}")
         _print_diag_summary(t.players, structure, lopsided_pairs(t), None)
@@ -253,7 +262,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             ),
         }
         del parsed, t  # and the pairs, once the report holds the witnesses
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         _print_diag_summary(t.players, structure, lopsided_pairs(t), spectral)
     return EXIT_OK
@@ -292,7 +301,7 @@ def cmd_performance(args: argparse.Namespace) -> int:
             "model": _model_spec(model),
             "players": entries,
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"model {_model_spec(model)}")
         header = f"{'player':<16}{'games':>7}  {'avg score':>9}  {'initial':>10}  {'performance':>12}"

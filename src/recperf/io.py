@@ -53,20 +53,22 @@ def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
     raise ParseError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 
 
-def load_tournament(path: str | Path, fmt: str | None = None) -> ParsedTournament:
+def load_tournament(path: str | Path) -> ParsedTournament:
     path = Path(path)
-    if fmt is None and path.suffix.lower() in (".json", ".csv"):
-        fmt = path.suffix.lower()[1:]
+    fmt = {".json": "json", ".csv": "csv"}.get(path.suffix.lower())
     return parse_tournament(path.read_text(encoding="utf-8"), fmt)
 
 
 def parse_tournament_json(text: str) -> ParsedTournament:
+    """Parse the JSON format; every number reads as a float (an int past float range as inf)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
 
@@ -93,11 +95,9 @@ def parse_tournament_json(text: str) -> ParsedTournament:
                 raise ParseError(f"match {k}: missing keys {sorted(missing)}")
             if not isinstance(entry["a"], str) or not isinstance(entry["b"], str):
                 raise ParseError(f"match {k}: players a and b must be strings")
-            if not isinstance(entry["score_a"], (int, float)) or isinstance(
-                entry["score_a"], bool
-            ):
+            if not isinstance(entry["score_a"], float):
                 raise ParseError(f"match {k}: score_a must be a number")
-            records.append((entry["a"], entry["b"], float(entry["score_a"])))
+            records.append((entry["a"], entry["b"], entry["score_a"]))
         tournament = build_tournament(players, records)
     else:
         matrix = doc["crosstable"]
@@ -108,7 +108,7 @@ def parse_tournament_json(text: str) -> ParsedTournament:
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"crosstable row {i + 1} ({players[i]}): expected {n} cells")
             for j, cell in enumerate(row):
-                if not isinstance(cell, (int, float)) or isinstance(cell, bool):
+                if not isinstance(cell, float):
                     raise ParseError(
                         f"crosstable row {i + 1} ({players[i]}), column {j + 1}: "
                         f"non-numeric cell {cell!r}"
@@ -121,9 +121,7 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     if (
         not isinstance(ratings, list)
         or len(ratings) != tournament.n
-        or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in ratings
-        )
+        or not all(isinstance(v, float) for v in ratings)
     ):
         raise ParseError(
             f'"initial_ratings" must be a list of {tournament.n} numbers'

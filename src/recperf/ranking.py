@@ -41,8 +41,8 @@ def rank_from_ratings(ratings: np.ndarray, tie_tol: float) -> Ranking:
         raise ValueError(f"expected a non-empty rating vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("ratings must be finite")
-    if tie_tol < 0:
-        raise ValueError(f"tie tolerance must be nonnegative, got {tie_tol}")
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
     order = np.argsort(-x, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]
     for prev, cur in zip(order, order[1:]):

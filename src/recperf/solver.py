@@ -37,6 +37,7 @@ from .tournament import DerivedMatrices
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to max(1, |chat|_inf)
+_ROUNDING = 16 * np.finfo(float).eps  # evaluation error of a step per unit of |x|_inf
 
 
 class ConvergenceError(RuntimeError):
@@ -166,37 +167,42 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat.
 
     Stops when the infinity-norm step drops below `tol` (default
-    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)). The caller is expected to have
-    verified P1 and P2 first; on bipartite schedules the iteration
-    oscillates and ends in ConvergenceError, worded from a BFS run only
-    on that failure.
+    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)), or stalls within the rounding
+    of |x|_inf, which no tol can undercut (ulp(1e10) = 1.9e-6). The caller
+    is expected to have verified P1 and P2 first; on bipartite schedules
+    the iteration oscillates and ends in ConvergenceError, worded from a
+    BFS run only on that failure.
     """
     r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
     if tol is None:
         tol = DEFAULT_SOLVE_TOL * max(1.0, float(np.abs(chat).max()))
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     current = _mbar_dot(d, r) + chat
     trace = [current.copy()] if record_trace else None
     step = float("inf")
-    for iteration in range(1, max_iter + 1):
-        nxt = _mbar_dot(d, current)
-        nxt += chat
-        step = float(np.abs(nxt - current).max())
-        current = nxt
-        if trace is not None:
-            trace.append(current.copy())
-        if step < tol:
-            residual = float(np.abs(current - (_mbar_dot(d, current) + chat)).max())
-            return SolveOutcome(
-                ratings=current,
-                method="iterative",
-                iterations=iteration,
-                residual=residual,
-                pinned_total=float(d.m @ current),
-                trace=tuple(trace) if trace is not None else None,
-            )
+    with np.errstate(over="ignore"):  # ratings of +-1e308 overflow the step to inf
+        for iteration in range(1, max_iter + 1):
+            nxt = _mbar_dot(d, current)
+            nxt += chat
+            last, step = step, float(np.abs(nxt - current).max())
+            current = nxt
+            if trace is not None:
+                trace.append(current.copy())
+            # |x|_inf only once the step stalls: on every step it would slow small schedules
+            if step < tol or (step >= last
+                              and step <= _ROUNDING * float(np.abs(current).max())):
+                return SolveOutcome(
+                    ratings=current,
+                    method="iterative",
+                    iterations=iteration,
+                    residual=float(np.abs(current - (_mbar_dot(d, current) + chat)).max()),
+                    pinned_total=float(d.m @ current),
+                    trace=tuple(trace) if trace is not None else None,
+                )
     raise ConvergenceError(max_iter, step, diagnostics.check_structure(d), current)
 
 
@@ -220,13 +226,12 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
     root = np.sqrt(d.m)
     root /= root.max()
     floor = 1e-13 * max(1.0, float(np.abs(chat).max()))
-    rounding = 16 * np.finfo(float).eps  # evaluation error per unit of |y|_inf
     u = np.zeros(d.n)
     res = root * chat  # the residual at u = 0
 
     def converged() -> bool:
         return (float(np.abs(res / root).max())
-                <= max(floor, rounding * float(np.abs(u / root).max())))
+                <= max(floor, _ROUNDING * float(np.abs(u / root).max())))
 
     iterations = 0
     while not converged():

@@ -16,8 +16,10 @@ solvers, the traversal, the spectrum) works from that.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +42,7 @@ def _labels(players: Sequence[str]) -> tuple[str, ...]:
     if any(not p for p in players):
         raise TournamentDataError("player labels must be non-empty")
     if len(set(players)) != n:
-        dupes = sorted({p for p in players if players.count(p) > 1})
+        dupes = sorted(p for p, count in Counter(players).items() if count > 1)
         raise TournamentDataError(f"duplicate player labels: {dupes}")
     return players
 
@@ -90,14 +92,6 @@ class Tournament:
             )
         i, j = (k.astype(np.int32) for k in np.nonzero(np.triu((a > 0) | (a.T > 0), 1)))
         self._set(players, i, j, a[i, j], a[j, i])
-
-    @classmethod
-    def _from_pairs(cls, players: tuple[str, ...], i: np.ndarray, j: np.ndarray,
-                    a_ij: np.ndarray, a_ji: np.ndarray) -> Tournament:
-        """A tournament from pairs already aggregated, with i < j row-major."""
-        t = cls.__new__(cls)
-        t._set(_labels(players), i, j, a_ij, a_ji)
-        return t
 
     def _set(self, players, i, j, a_ij, a_ji) -> None:
         n = len(players)
@@ -185,31 +179,22 @@ def build_tournament(
         TournamentDataError: on duplicate or unknown labels, a score outside
             [0, 1], a self-match, or a player left with zero games.
     """
-    players = tuple(str(p) for p in players)
-    if len(set(players)) != len(players):
-        dupes = sorted({p for p in players if players.count(p) > 1})
-        raise TournamentDataError(f"duplicate player labels: {dupes}")
+    players = _labels(players)
+    records = list(match_records)  # read by column: zip(*records) would set off GC passes
     index = {p: k for k, p in enumerate(players)}
-    first, second, scores = [], [], []
-    for rec_no, (pa, pb, score_a) in enumerate(match_records, start=1):
-        if pa not in index:
-            raise TournamentDataError(f"record {rec_no}: unknown player {pa!r}")
-        if pb not in index:
-            raise TournamentDataError(f"record {rec_no}: unknown player {pb!r}")
-        if pa == pb:
-            raise TournamentDataError(
-                f"record {rec_no}: self-match for {pa!r} is not allowed"
-            )
-        score_a = float(score_a)
-        if not 0.0 <= score_a <= 1.0:
-            raise TournamentDataError(
-                f"record {rec_no}: score {score_a} outside [0, 1]"
-            )
-        first.append(index[pa])
-        second.append(index[pb])
-        scores.append(score_a)
-    first, second = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
-    score = np.array(scores, dtype=float)
+    first = np.fromiter(map(index.get, (a for a, _, _ in records), repeat(-1)), np.intp)
+    second = np.fromiter(map(index.get, (b for _, b, _ in records), repeat(-1)), np.intp)
+    score = np.fromiter((s for _, _, s in records), float)
+    bad = np.flatnonzero((first < 0) | (second < 0) | (first == second)
+                         | ~((score >= 0.0) & (score <= 1.0)))
+    if bad.size:
+        k = int(bad[0])
+        pa, pb, _ = records[k]
+        why = (f"unknown player {pa!r}" if first[k] < 0
+               else f"unknown player {pb!r}" if second[k] < 0
+               else f"self-match for {pa!r} is not allowed" if first[k] == second[k]
+               else f"score {float(score[k])} outside [0, 1]")
+        raise TournamentDataError(f"record {k + 1}: {why}")
     swap = first > second
     lo = np.where(swap, second, first)
     hi = np.where(swap, first, second)
@@ -226,7 +211,9 @@ def build_tournament(
     a_lo = np.bincount(pair, np.where(swap, 1.0 - score, score), minlength=keys.size)
     a_hi = np.bincount(pair, np.where(swap, score, 1.0 - score), minlength=keys.size)
     i, j = np.divmod(keys, len(players))
-    return Tournament._from_pairs(players, i, j, a_lo, a_hi)
+    t = Tournament.__new__(Tournament)  # labels checked, pairs aggregated row-major
+    t._set(players, i, j, a_lo, a_hi)
+    return t
 
 
 def derive(t: Tournament) -> DerivedMatrices:

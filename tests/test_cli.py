@@ -236,6 +236,14 @@ class TestPerformance:
         assert "{A, B} | {C, D}" in err
 
 
+    def test_compare_json_writes_recursive_performance(self, capsys):
+        code, out, _ = run(capsys, "performance", REFERENCE, "--compare", "--format", "json")
+        assert code == EXIT_OK
+        values = {row["player"]: row["recursive_performance"]
+                  for row in json.loads(out)["players"]}
+        assert values == pytest.approx({"A": 127.2323, "B": 0.0, "C": -127.2323}, abs=1e-3)
+
+
 class TestSimulate:
     def test_writes_tournament_and_truth(self, capsys, tmp_path):
         out_path = tmp_path / "sim.json"
@@ -347,7 +355,35 @@ class TestMalformedInput:
         assert "matches" in err or "match 1" in err
 
 
+    HUGE = "1" + "0" * 400  # an integer beyond float range
+
+    @pytest.mark.parametrize("command", ["rank", "performance"])
+    @pytest.mark.parametrize("text", [
+        f'{{"players": ["A", "B"], "matches": [{{"a": "A", "b": "B", "score_a": {HUGE}}}]}}',
+        f'{{"players": ["A", "B"], "crosstable": [[0, {HUGE}], [1, 0]]}}',
+        f'{{"players": ["A", "B"], "initial_ratings": [{HUGE}, 0],'
+        f' "crosstable": [[0, 1], [1, 0]]}}',
+    ], ids=["score_a", "crosstable", "initial_ratings"])
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, command, text):
+        path = tmp_path / "huge_int.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+        assert out == ""
+
+
 class TestUsage:
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
+        ("--max-iter", "0"), ("--max-iter", "-3"), ("--tie-tol", "nan"),
+    ])
+    def test_bad_numeric_option_exits_2(self, capsys, option, value):
+        code, out, err = run(capsys, "rank", REFERENCE, "--method", "iterative", option, value)
+        assert code == EXIT_PARSE
+        assert option[2:].replace("-", "_") in err
+        assert out == ""
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

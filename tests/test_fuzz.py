@@ -3,12 +3,12 @@
 Whatever a JSON or CSV input holds, `recperf.cli.main` must end in one of
 its documented exit codes and never in 1 (an unexpected exception). Each
 input starts as a well-formed tournament, so that it reaches the solver;
-then up to two numbers may become extremes (1e308, NaN, inf, negative; two
-huge scores can overflow a player's game total), the initial ratings may
-all be huge (their games-weighted total overflows), and one field, row or
-cell may be replaced by a value of the wrong type or size. Numpy's
-RuntimeWarnings are errors under pytest, so an overflow that only warns
-fails here too.
+then up to two numbers may become extremes (1e308, NaN, inf, negative, an
+integer beyond float range; two huge scores can overflow a player's game
+total), the initial ratings may all be huge (their games-weighted total
+overflows), and one field, row or cell may be replaced by a value of the
+wrong type or size. Numpy's RuntimeWarnings are errors under pytest, so an
+overflow that only warns fails here too.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from recperf.cli import (
@@ -43,7 +43,7 @@ FUZZ = settings(
 )
 
 LABELS = ["A", "B", "C", "D", "E"]
-EXTREMES = [0, 1, 0.5, -1, 2, 1e308, -1e308, 5e307,
+EXTREMES = [0, 1, 0.5, -1, 2, 1e308, -1e308, 5e307, 10**400,
             float("nan"), float("inf"), float("-inf")]
 scores = st.one_of(st.sampled_from([0, 0.5, 1]), st.floats(0, 1))
 scalars = st.one_of(st.none(), st.booleans(), st.sampled_from(EXTREMES),
@@ -124,7 +124,7 @@ def csv_texts(draw):
     players = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=5, unique=True))
     n = len(players)
     rows = [[""] + players] + [
-        [p] + ["" if i == j else repr(float(v)) for j, v in enumerate(row)]
+        [p] + ["" if i == j else str(v) for j, v in enumerate(row)]
         for i, (p, row) in enumerate(zip(players, _crosstable(draw, n)))
     ]
     if draw(st.booleans()):
@@ -153,6 +153,13 @@ def _exit_codes(text: str, suffix: str) -> list[int]:
 
 @FUZZ
 @given(json_documents())
+# a huge common rating: the iteration's steps stall at the rounding of 1e10
+@example(json.dumps({"players": ["A", "B", "C"], "initial_ratings": [1e10] * 3, "matches": [
+    {"a": "A", "b": "B", "score_a": 1.0}, {"a": "A", "b": "C", "score_a": 0.5},
+    {"a": "B", "b": "C", "score_a": 1.0}]}))
+# ratings of +-1e308 overflow the iteration's first steps
+@example(json.dumps({"players": ["A", "B", "C"], "initial_ratings": [-1e308, 1e308, -1e308],
+                     "crosstable": [[0, 0.5, 0], [0, 0, 0.5], [0.03125, 0, 0]]}))
 def test_json_input_exits_with_a_documented_code(text):
     assert set(_exit_codes(text, ".json")) <= DOCUMENTED
 

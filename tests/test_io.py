@@ -45,6 +45,10 @@ class TestJsonParsing:
         with pytest.raises(ParseError, match=r"line \d+, column \d+"):
             parse_tournament('{"players": ["A", }')
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_tournament('{"players": ' + "[" * 10_000 + "]" * 10_000 + "}")
+
     def test_matches_and_crosstable_exclusive(self):
         with pytest.raises(ParseError, match="exactly one"):
             parse_tournament(
@@ -86,6 +90,70 @@ class TestJsonParsing:
             )
 
 
+    MATCHES = '{"players": ["A", "B", "C"], "matches": [%s]}'
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('{"players": ["A", 1], "matches": []}', ParseError,
+         "player labels must be strings"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": "1"}', ParseError,
+         "match 1: score_a must be a number"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": true}', ParseError,
+         "match 1: score_a must be a number"),
+        ('{"players": ["A", "B"], "crosstable": [[0, 1]]}', ParseError,
+         '"crosstable" must have 2 rows'),
+        ('{"players": ["A", "B"], "crosstable": [[0, 1], [1]]}', ParseError,
+         "crosstable row 2 (B): expected 2 cells"),
+        ('{"players": ["A", "A"], "crosstable": [[0, 1], [1, 0]]}', TournamentDataError,
+         "duplicate player labels: ['A']"),
+        ('{"players": ["A", ""], "crosstable": [[0, 1], [1, 0]]}', TournamentDataError,
+         "player labels must be non-empty"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": 1}, {"a": "Z", "b": "B", "score_a": 2}',
+         TournamentDataError, "record 2: unknown player 'Z'"),
+        (MATCHES % '{"a": "A", "b": "Z", "score_a": 2}', TournamentDataError,
+         "record 1: unknown player 'Z'"),
+        (MATCHES % '{"a": "B", "b": "B", "score_a": 2}', TournamentDataError,
+         "record 1: self-match for 'B' is not allowed"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": 1.5}, {"a": "Z", "b": "Z", "score_a": 0}',
+         TournamentDataError, "record 1: score 1.5 outside [0, 1]"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": -0.25}', TournamentDataError,
+         "record 1: score -0.25 outside [0, 1]"),
+        # every record's types are checked before any record's values
+        (MATCHES % '{"a": "Z", "b": "B", "score_a": 0}, {"a": "A", "b": "B", "score_a": null}',
+         ParseError, "match 2: score_a must be a number"),
+    ], ids=["label-type", "score-string", "score-bool", "row-count", "row-length",
+            "duplicate-labels", "empty-label", "unknown-a", "unknown-b-first",
+            "self-match-first", "first-bad-record", "negative-score", "type-after-value"])
+    def test_messages(self, text, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_tournament(text)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("players", ['["A"]', '["A", "", "B"]'])
+    def test_labels_are_checked_before_records(self, players):
+        # _labels runs first, so its verdict wins over a bad record's
+        with pytest.raises(TournamentDataError, match="at least 2|non-empty"):
+            parse_tournament(
+                f'{{"players": {players}, "matches": [{{"a": "A", "b": "Z", "score_a": 0}}]}}'
+            )
+
+    @pytest.mark.parametrize("field", ["score_a", "crosstable", "initial_ratings"])
+    def test_integer_beyond_float_range_reads_as_inf(self, field):
+        huge = "1" + "0" * 400
+        docs = {
+            "score_a": f'{{"players": ["A", "B"], "matches": '
+                       f'[{{"a": "A", "b": "B", "score_a": {huge}}}]}}',
+            "crosstable": f'{{"players": ["A", "B"], "crosstable": [[0, {huge}], [1, 0]]}}',
+            "initial_ratings": f'{{"players": ["A", "B"], "initial_ratings": [{huge}, 0],'
+                               f' "crosstable": [[0, 1], [1, 0]]}}',
+        }
+        if field == "initial_ratings":
+            assert parse_tournament(docs[field]).initial_ratings[0] == np.inf
+            return
+        with pytest.raises(TournamentDataError, match="inf outside|must be finite"):
+            parse_tournament(docs[field])
+
+
 class TestCsvParsing:
     def test_reference_crosstable(self):
         parsed = load_tournament(FIXTURES / "reference.csv")
@@ -100,6 +168,14 @@ class TestCsvParsing:
     def test_non_numeric_cell_reports_position(self):
         with pytest.raises(ParseError, match=r"line 2, column 3.*'x'"):
             parse_tournament(",A,B\nA,,x\nB,0,\n", fmt="csv")
+
+    def test_wrong_cell_count(self):
+        with pytest.raises(ParseError, match=r"^line 3: expected 3 cells, got 2$"):
+            parse_tournament(",A,B\nA,,1\nB,0\n", fmt="csv")
+
+    def test_empty_cell_off_the_diagonal(self):
+        with pytest.raises(ParseError, match=r"^line 2, column 3: empty cell off the diagonal$"):
+            parse_tournament(",A,B\nA,,\nB,0,\n", fmt="csv")
 
     def test_label_mismatch(self):
         with pytest.raises(ParseError, match="do not match"):

@@ -399,6 +399,24 @@ class TestRobustness:
         x_eps = solve_direct(d, elo(400.0 * (1.0 + 1e-6))).ratings
         assert np.abs(x_eps - x).max() <= 1e-2
 
+    @pytest.mark.parametrize("solve", [solve_direct, iterate], ids=["direct", "iterative"])
+    def test_huge_common_shift_shifts_the_ratings(self, solve):
+        # at |x| = 1e10 a step cannot fall below its rounding (ulp 1.9e-6),
+        # far above the default tolerance 4e-8: the iteration must stop anyway
+        d = derive(reference_tournament())
+        at_zero = solve(d, MODEL).ratings
+        shifted = solve(d, MODEL, np.full(d.n, 1e10)).ratings
+        assert np.abs((shifted - 1e10) - at_zero).max() <= 1e-4
+
+    def test_step_overflow_is_not_an_error(self):
+        # ratings of +-1e308 overflow the first steps to inf (a RuntimeWarning,
+        # an error under the test settings); the iteration must go on
+        a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0.03125, 0, 0]])
+        d = derive(Tournament(("A", "B", "C"), a))
+        r = np.array([-1e308, 1e308, -1e308])
+        out = iterate(d, MODEL, r)
+        assert np.allclose(out.ratings, solve_direct(d, MODEL, r).ratings, rtol=1e-12, atol=0)
+
     def test_solutions_for_different_r_essentially_identical(self):
         rng = np.random.default_rng(56)
         t = random_tournament(rng)

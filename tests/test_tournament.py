@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -38,9 +39,21 @@ class TestBuildTournament:
         with pytest.raises(TournamentDataError, match="duplicate"):
             build_tournament(["A", "A"], [("A", "A", 0.5)])
 
+    def test_duplicate_labels_found_in_linear_time(self):
+        players = [f"p{k}" for k in range(20_000)] + ["p7"]
+        start = time.perf_counter()
+        with pytest.raises(TournamentDataError, match=r"duplicate player labels: \['p7'\]$"):
+            build_tournament(players, [])
+        assert time.perf_counter() - start < 2.0  # counting each label's copies took 9 s
+
     def test_score_outside_unit_interval_rejected(self):
         with pytest.raises(TournamentDataError, match=r"outside \[0, 1\]"):
             build_tournament(["A", "B"], [("A", "B", 1.5)])
+
+    @pytest.mark.parametrize("record", [("A", "B"), ("A", "B", 1.0, "extra")])
+    def test_record_must_have_three_fields(self, record):
+        with pytest.raises(ValueError, match="values to unpack"):
+            build_tournament(["A", "B"], [("A", "B", 0.5), record])
 
     def test_idle_player_rejected(self):
         with pytest.raises(TournamentDataError, match="no games"):
