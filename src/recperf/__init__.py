@@ -8,7 +8,6 @@ validation of the schedule.
 """
 
 from .diagnostics import (
-    DiagnosticsError,
     SpectralReport,
     StructureReport,
     check_structure,
@@ -59,7 +58,6 @@ __all__ = [
     "BoundaryScoreError",
     "ConvergenceError",
     "DerivedMatrices",
-    "DiagnosticsError",
     "ParseError",
     "ParsedTournament",
     "Ranking",

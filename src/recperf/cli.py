@@ -25,15 +25,9 @@ from .diagnostics import (
     lopsided_pairs,
     spectral_diagnostics,
 )
-from .io import (
-    REPORT_SCHEMA_VERSION,
-    ParseError,
-    diagnostics_to_dict,
-    load_tournament,
-    tournament_to_json,
-)
+from .io import load_tournament, tournament_to_json
 from .models import BoundaryScoreError, RatingModel, parse_model
-from .ranking import Ranking, rank_from_ratings
+from .ranking import rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -45,7 +39,7 @@ from .solver import (
     performance,
     solve_direct,
 )
-from .tournament import TournamentDataError, derive
+from .tournament import derive
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -54,15 +48,20 @@ EXIT_DISCONNECTED = 3
 EXIT_BOUNDARY = 4
 EXIT_NO_CONVERGENCE = 5
 
+REPORT_SCHEMA_VERSION = 2
+
 
 def _model_spec(model: RatingModel) -> str:
     return f"{model.family}:{model.scale:g}"
 
 
-def _fmt_groups(players: Sequence[str], groups) -> str:
-    return " | ".join(
-        "{" + ", ".join(players[i] for i in group) + "}" for group in groups
-    )
+def _names(players: Sequence[str], groups) -> list[list[str]]:
+    """Each group of player indices as a list of labels."""
+    return [[players[i] for i in group] for group in groups]
+
+
+def _fmt_groups(groups: list[list[str]]) -> str:
+    return " | ".join("{" + ", ".join(group) + "}" for group in groups)
 
 
 def _note(msg: str) -> None:
@@ -82,7 +81,7 @@ def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreErr
     """Word a P1 or boundary-score refusal with player labels; return its exit code."""
     if isinstance(exc, SingularSystemError):
         _note("P1 violated: tournament splits into independent groups: "
-              + _fmt_groups(players, exc.components))
+              + _fmt_groups(_names(players, exc.components)))
         return EXIT_DISCONNECTED
     _note(f"boundary score: player {players[exc.player]} has average score "
           f"{exc.value:g}; offsets need scores strictly inside (0, 1)"
@@ -90,76 +89,97 @@ def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreErr
     return EXIT_BOUNDARY
 
 
-def _print_diag_summary(
-    players: Sequence[str],
+def diagnostics_to_dict(
     structure: StructureReport,
     lopsided: tuple[tuple[int, int], ...],
     spectral: SpectralReport | None,
-) -> None:
-    p1 = "OK" if structure.connected else "VIOLATED"
-    p2 = "VIOLATED" if structure.bipartite else "OK"
+    players: Sequence[str],
+) -> dict:
+    """The report's diagnostics block, with label witnesses.
+
+    The spectral keys appear only when a spectrum was computed.
+    """
+    doc = {
+        "connected": structure.connected,
+        "components": _names(players, structure.components),
+        "nonbipartite": not structure.bipartite,
+        "coloring": None
+        if structure.coloring is None
+        else _names(players, structure.coloring),
+    }
+    if spectral is not None:
+        doc["eigenvalues"] = spectral.eigenvalues.tolist()
+        doc["multiplicity_one"] = spectral.multiplicity_one
+        doc["has_minus_one"] = spectral.has_minus_one
+        doc["spectral_gap"] = spectral.spectral_gap
+    doc["lopsided_pairs"] = _names(players, lopsided)
+    return doc
+
+
+def _print_diagnostics(diag: dict) -> None:
+    p1 = "OK" if diag["connected"] else "VIOLATED"
+    p2 = "OK" if diag["nonbipartite"] else "VIOLATED"
     print(f"P1 connected comparison graph: {p1}")
-    if not structure.connected:
-        print(f"  components: {_fmt_groups(players, structure.components)}")
+    if not diag["connected"]:
+        print(f"  components: {_fmt_groups(diag['components'])}")
     print(f"P2 non-bipartite comparison graph: {p2}")
-    if structure.coloring is not None:
-        print(f"  bipartition: {_fmt_groups(players, structure.coloring)}")
-    if lopsided:
-        pairs = ", ".join(f"{players[i]}-{players[j]}" for i, j in lopsided)
+    if diag["coloring"] is not None:
+        print(f"  bipartition: {_fmt_groups(diag['coloring'])}")
+    if diag["lopsided_pairs"]:
+        pairs = ", ".join(f"{a}-{b}" for a, b in diag["lopsided_pairs"])
         print(f"lopsided pairs (one side took every point): {pairs}")
-    if spectral is None:
+    if "spectral_gap" not in diag:
         return
-    eigs = ", ".join(f"{v:.6f}" for v in spectral.eigenvalues)
+    eigs = ", ".join(f"{v:.6f}" for v in diag["eigenvalues"])
     print("spectral:")
     print(f"  eigenvalues: {eigs}")
-    print(f"  multiplicity of eigenvalue 1: {spectral.multiplicity_one}   "
-          f"eigenvalue -1 present: {'yes' if spectral.has_minus_one else 'no'}")
-    print(f"  spectral gap: {spectral.spectral_gap:.6f}")
-    rate = 1.0 - spectral.spectral_gap
+    print(f"  multiplicity of eigenvalue 1: {diag['multiplicity_one']}   "
+          f"eigenvalue -1 present: {'yes' if diag['has_minus_one'] else 'no'}")
+    print(f"  spectral gap: {diag['spectral_gap']:.6f}")
+    rate = 1.0 - diag["spectral_gap"]
     if 0.0 < rate < 1.0:
         estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate))
-        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: {estimate}")
-    elif rate <= 0.0:
-        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: 1")
     else:
-        print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: "
-              "none (iteration does not converge)")
+        estimate = 1 if rate <= 0.0 else "none (iteration does not converge)"
+    print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: {estimate}")
 
 
 def _games_text(games: float) -> str:
     return f"{int(games)}" if games == int(games) else f"{games:g}"
 
 
-def _rank_rows(players, d, initial, ratings, ranking: Ranking) -> list[dict]:
-    positions = ranking.positions()
-    rows = []
-    for i, label in enumerate(players):
-        rows.append(
-            {
-                "player": label,
-                "games": float(d.m[i]),
-                "avg_score": float(d.s[i]),
-                "initial_rating": float(initial[i]),
-                "rating": float(ratings[i]),
-                "rank": positions[i],
-            }
+def _player_rows(players, d, initial, **columns: list) -> list[dict]:
+    """One report row per player in file order: games, average score and
+    initial rating, then one key per entry of `columns`."""
+    return [
+        {"player": label, "games": games, "avg_score": score,
+         "initial_rating": rating, **dict(zip(columns, extra))}
+        for label, games, score, rating, *extra in zip(
+            players, d.m.tolist(), d.s.tolist(), initial.tolist(), *columns.values()
         )
-    rows.sort(key=lambda row: (row["rank"], row["player"]))
-    return rows
+    ]
 
 
-def _print_rating_table(rows: list[dict]) -> None:
-    print(f"{'rank':>4}  {'player':<16}{'games':>7}  {'avg score':>9}  "
-          f"{'initial':>10}  {'rating':>12}")
+# table title of each rating column a player row can carry
+_RATING_TITLES = {"rating": "rating", "performance": "performance",
+                  "recursive_performance": "recursive"}
+
+
+def _print_players(rows: list[dict]) -> None:
+    """The player table; a rank column leads when the rows carry one."""
+    ranked = "rank" in rows[0]
+    ratings = [key for key in rows[0] if key in _RATING_TITLES]
+    print(("rank  " if ranked else "")
+          + f"{'player':<16}{'games':>7}  {'avg score':>9}  {'initial':>10}"
+          + "".join(f"  {_RATING_TITLES[key]:>12}" for key in ratings))
     for row in rows:
-        print(
-            f"{row['rank']:>4}  {row['player']:<16}{_games_text(row['games']):>7}  "
-            f"{row['avg_score']:>9.3f}  {row['initial_rating']:>10.1f}  "
-            f"{row['rating']:>12.3f}"
-        )
+        print((f"{row['rank']:>4}  " if ranked else "")
+              + f"{row['player']:<16}{_games_text(row['games']):>7}  "
+              f"{row['avg_score']:>9.3f}  {row['initial_rating']:>10.1f}"
+              + "".join(f"  {row[key]:>12.3f}" for key in ratings))
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> dict | int:
     parsed = load_tournament(args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
@@ -172,7 +192,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if not structure.connected:
         return _refusal(t.players, SingularSystemError(structure.components))
     if args.method in ("iterative", "both") and structure.bipartite:
-        _note(f"P2 violated (bipartition {_fmt_groups(t.players, structure.coloring)}): "
+        _note(f"P2 violated (bipartition {_fmt_groups(_names(t.players, structure.coloring))}): "
               "the fixed-point iteration oscillates and cannot converge; "
               "use --method direct")
         return EXIT_NO_CONVERGENCE
@@ -196,79 +216,64 @@ def cmd_rank(args: argparse.Namespace) -> int:
     primary = outcomes.get("direct") or outcomes["iterative"]
     tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
     ranking = rank_from_ratings(primary.ratings, tie_tol)
-    rows = _rank_rows(t.players, d, parsed.initial_ratings, primary.ratings, ranking)
-    del d  # the CSR arrays are not needed to render; freed, they lower the memory peak
+    rows = _player_rows(t.players, d, parsed.initial_ratings,
+                        rating=primary.ratings.tolist(), rank=ranking.positions())
+    rows.sort(key=lambda row: (row["rank"], row["player"]))
+    del d  # the CSR arrays are not needed for the report; freed, they lower the memory peak
 
-    max_delta = None
+    solver: dict = {
+        "method": primary.method,
+        "iterations": primary.iterations,
+        "residual": primary.residual,
+        "pinned_total": primary.pinned_total,
+    }
     if len(outcomes) == 2:
-        max_delta = float(
-            np.abs(outcomes["direct"].ratings - outcomes["iterative"].ratings).max()
+        it = outcomes["iterative"]
+        solver["iterative"] = {"iterations": it.iterations, "residual": it.residual}
+        solver["max_method_delta"] = float(
+            np.abs(outcomes["direct"].ratings - it.ratings).max()
         )
-
-    if args.format == "json":
-        solver_info: dict = {
-            "method": primary.method,
-            "iterations": primary.iterations,
-            "residual": primary.residual,
-            "pinned_total": primary.pinned_total,
-        }
-        if max_delta is not None:
-            solver_info["iterative"] = {
-                "iterations": outcomes["iterative"].iterations,
-                "residual": outcomes["iterative"].residual,
-            }
-            solver_info["max_method_delta"] = max_delta
-        doc = {
-            "schema": REPORT_SCHEMA_VERSION,
-            "model": _model_spec(model),
-            "players": rows,
-            "ranking": ranking.labels(t.players),
-            "solver": solver_info,
-            "diagnostics": diagnostics_to_dict(
-                structure, lopsided_pairs(t), None, t.players
-            ),
-        }
-        del parsed, t  # nor are the pairs, once the report holds the witnesses
-        _print_json(doc)
-    else:
-        print(f"model {_model_spec(model)}   method {args.method}")
-        _print_diag_summary(t.players, structure, lopsided_pairs(t), None)
-        print()
-        _print_rating_table(rows)
-        print()
-        print(f"method {primary.method}: iterations {primary.iterations}, "
-              f"residual {primary.residual:.3e}, "
-              f"conserved total {primary.pinned_total:.6g}")
-        if max_delta is not None:
-            it = outcomes["iterative"]
-            print(f"method iterative: iterations {it.iterations}, "
-                  f"residual {it.residual:.3e}")
-            print(f"max |direct - iterative| = {max_delta:.3e}")
-    return EXIT_OK
+    return {
+        "schema": REPORT_SCHEMA_VERSION,
+        "model": _model_spec(model),
+        "players": rows,
+        "ranking": ranking.labels(t.players),
+        "solver": solver,
+        "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), None, t.players),
+    }
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    parsed = load_tournament(args.input)
-    t = parsed.tournament
+def _print_rank(doc: dict) -> None:
+    solver = doc["solver"]
+    both = "iterative" in solver
+    print(f"model {doc['model']}   method {'both' if both else solver['method']}")
+    _print_diagnostics(doc["diagnostics"])
+    print()
+    _print_players(doc["players"])
+    print()
+    print(f"method {solver['method']}: iterations {solver['iterations']}, "
+          f"residual {solver['residual']:.3e}, "
+          f"conserved total {solver['pinned_total']:.6g}")
+    if both:
+        it = solver["iterative"]
+        print(f"method iterative: iterations {it['iterations']}, "
+              f"residual {it['residual']:.3e}")
+        print(f"max |direct - iterative| = {solver['max_method_delta']:.3e}")
+
+
+def cmd_check(args: argparse.Namespace) -> dict:
+    t = load_tournament(args.input).tournament
     d = derive(t)
     structure = check_structure(d)
     spectral = spectral_diagnostics(d) if args.spectral else None
-    del d  # else the CSR arrays stay alive through rendering, the memory peak
-    if args.format == "json":
-        doc = {
-            "schema": REPORT_SCHEMA_VERSION,
-            "diagnostics": diagnostics_to_dict(
-                structure, lopsided_pairs(t), spectral, t.players
-            ),
-        }
-        del parsed, t  # and the pairs, once the report holds the witnesses
-        _print_json(doc)
-    else:
-        _print_diag_summary(t.players, structure, lopsided_pairs(t), spectral)
-    return EXIT_OK
+    del d  # else the CSR arrays stay alive while the report is built, the memory peak
+    return {
+        "schema": REPORT_SCHEMA_VERSION,
+        "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), spectral, t.players),
+    }
 
 
-def cmd_performance(args: argparse.Namespace) -> int:
+def cmd_performance(args: argparse.Namespace) -> dict | int:
     parsed = load_tournament(args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
@@ -276,45 +281,23 @@ def cmd_performance(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     d = derive(t)
     try:
-        perf = performance(d, model, parsed.initial_ratings)
-        recursive = None
+        columns = {"performance": performance(d, model, parsed.initial_ratings).tolist()}
         if args.compare:
-            recursive = solve_direct(d, model, parsed.initial_ratings).ratings
+            columns["recursive_performance"] = solve_direct(
+                d, model, parsed.initial_ratings
+            ).ratings.tolist()
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(t.players, exc)
+    return {
+        "schema": REPORT_SCHEMA_VERSION,
+        "model": _model_spec(model),
+        "players": _player_rows(t.players, d, parsed.initial_ratings, **columns),
+    }
 
-    if args.format == "json":
-        entries = []
-        for i, label in enumerate(t.players):
-            entry = {
-                "player": label,
-                "games": float(d.m[i]),
-                "avg_score": float(d.s[i]),
-                "initial_rating": float(parsed.initial_ratings[i]),
-                "performance": float(perf[i]),
-            }
-            if recursive is not None:
-                entry["recursive_performance"] = float(recursive[i])
-            entries.append(entry)
-        doc = {
-            "schema": REPORT_SCHEMA_VERSION,
-            "model": _model_spec(model),
-            "players": entries,
-        }
-        _print_json(doc)
-    else:
-        print(f"model {_model_spec(model)}")
-        header = f"{'player':<16}{'games':>7}  {'avg score':>9}  {'initial':>10}  {'performance':>12}"
-        if recursive is not None:
-            header += f"  {'recursive':>12}"
-        print(header)
-        for i, label in enumerate(t.players):
-            line = (f"{label:<16}{_games_text(d.m[i]):>7}  {d.s[i]:>9.3f}  "
-                    f"{parsed.initial_ratings[i]:>10.1f}  {perf[i]:>12.3f}")
-            if recursive is not None:
-                line += f"  {recursive[i]:>12.3f}"
-            print(line)
-    return EXIT_OK
+
+def _print_performance(doc: dict) -> None:
+    print(f"model {doc['model']}")
+    _print_players(doc["players"])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -378,14 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--clamp-scores", action="store_true",
                       help="clamp boundary average scores instead of failing")
     rank.add_argument("--format", choices=("table", "json"), default="table")
-    rank.set_defaults(func=cmd_rank)
+    rank.set_defaults(func=cmd_rank, table=_print_rank)
 
     check = sub.add_parser("check", help="validate assumptions P1 and P2")
     check.add_argument("input")
     check.add_argument("--spectral", action="store_true",
                        help="add the eigenvalue summary and convergence prognosis")
     check.add_argument("--format", choices=("table", "json"), default="table")
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func=cmd_check,
+                       table=lambda doc: _print_diagnostics(doc["diagnostics"]))
 
     perf = sub.add_parser("performance",
                           help="one-shot performance against the initial ratings")
@@ -394,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--compare", action="store_true",
                       help="also show the recursive performance")
     perf.add_argument("--format", choices=("table", "json"), default="table")
-    perf.set_defaults(func=cmd_performance)
+    perf.set_defaults(func=cmd_performance, table=_print_performance)
 
     sim = sub.add_parser("simulate", help="generate a synthetic tournament")
     sim.add_argument("--players", type=int, required=True)
@@ -413,18 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; print its report as JSON or as the command's table."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, TournamentDataError, FileNotFoundError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_PARSE
+        report = args.func(args)
     except ConvergenceError as exc:
         _note(f"{exc}")
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_PARSE
+    if isinstance(report, int):
+        return report
+    if args.format == "json":
+        _print_json(report)
+    else:
+        args.table(report)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -23,10 +23,6 @@ import numpy as np
 from .tournament import DerivedMatrices, Tournament
 
 
-class DiagnosticsError(RuntimeError):
-    """Eigenvalue computation failed; structural verdicts are unaffected."""
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Graph-side verdicts with witnesses.
@@ -117,9 +113,16 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> Spectr
 
     The similar matrix is symmetric, so a symmetric eigensolver applies and
     the (shared) spectrum is real by construction.
+
+    `tol` is how close an eigenvalue must come to 1 or -1 to count as one.
+    The default is a rounding bound: the matrix has norm 1, so `eigvalsh`
+    is off by a small multiple of n * eps, and 64 * n * eps (2.8e-11 at
+    n = 2000) covers that. A looser bound such as 1e-9 * n took eigenvalues
+    3e-7 away from 1 and -1 for 1 and -1 on a 2000-player chain closed by
+    one triangle, which is connected and not bipartite.
     """
     if tol is None:
-        tol = 1e-9 * d.n
+        tol = 64 * d.n * np.finfo(float).eps
     root = np.sqrt(d.m)
     sym = np.zeros((d.n, d.n))
     for i in range(d.n):
@@ -130,10 +133,7 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> Spectr
         above = j > i
         j = j[above]
         sym[i, j] = sym[j, i] = d.weights[lo:hi][above] * root[i] / root[j]
-    try:
-        eigenvalues = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise DiagnosticsError(f"eigenvalue computation failed: {exc}") from exc
+    eigenvalues = np.linalg.eigvalsh(sym)
     near_one = np.abs(eigenvalues - 1.0) <= tol
     rest = np.abs(eigenvalues[~near_one])
     gap = 1.0 - float(rest.max()) if rest.size else 1.0

@@ -1,4 +1,4 @@
-"""Tournament file formats and report serialization.
+"""Tournament file formats: parsing, and writing a tournament back as JSON.
 
 Two input formats are supported:
 
@@ -24,10 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import SpectralReport, StructureReport
 from .tournament import Tournament, build_tournament
-
-REPORT_SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -218,34 +215,3 @@ def tournament_to_json(
     else:
         doc["crosstable"] = [[float(v) for v in row] for row in t.score_matrix]
     return json.dumps(doc, indent=2) + "\n"
-
-
-def diagnostics_to_dict(
-    structure: StructureReport,
-    lopsided: tuple[tuple[int, int], ...],
-    spectral: SpectralReport | None,
-    players: Sequence[str],
-) -> dict:
-    """JSON-ready rendering of the diagnostics with label witnesses.
-
-    The spectral keys appear only when a spectrum was computed.
-    """
-
-    def name(indices: tuple[int, ...]) -> list[str]:
-        return [players[i] for i in indices]
-
-    doc = {
-        "connected": structure.connected,
-        "components": [name(c) for c in structure.components],
-        "nonbipartite": not structure.bipartite,
-        "coloring": None
-        if structure.coloring is None
-        else [name(side) for side in structure.coloring],
-    }
-    if spectral is not None:
-        doc["eigenvalues"] = [float(v) for v in spectral.eigenvalues]
-        doc["multiplicity_one"] = spectral.multiplicity_one
-        doc["has_minus_one"] = spectral.has_minus_one
-        doc["spectral_gap"] = spectral.spectral_gap
-    doc["lopsided_pairs"] = [[players[i], players[j]] for i, j in lopsided]
-    return doc

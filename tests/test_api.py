@@ -14,7 +14,6 @@ PUBLIC = [
     "BoundaryScoreError",
     "ConvergenceError",
     "DerivedMatrices",
-    "DiagnosticsError",
     "ParseError",
     "ParsedTournament",
     "Ranking",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,23 @@ class TestMalformedInput:
         assert out == ""
 
 
+    @pytest.mark.parametrize("command", ["rank", "check", "performance"])
+    def test_directory_exits_2(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["rank", "check", "performance"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+        assert out == ""
+
+
 class TestUsage:
     @pytest.mark.parametrize("option, value", [
         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
@@ -391,4 +409,119 @@ class TestUsage:
 
     def test_version_of_model_spec_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rank", REFERENCE, "--model", "pareto:1")
-        assert code == EXIT_PARSE or "unknown model" in err
+        assert code == EXIT_PARSE and "unknown model" in err
+
+
+RANK_NOTE = ("note: no initial ratings in file; using 0 for every player "
+             "(the ranking does not depend on this choice)\n")
+
+GOLDEN_STDOUT = {
+    "rank reference.json --method both": """\
+model elo:400   method both
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: OK
+lopsided pairs (one side took every point): A-B, B-C
+
+rank  player            games  avg score     initial        rating
+   1  A                     2      0.750         0.0       127.232
+   2  B                     2      0.500         0.0        -0.000
+   3  C                     2      0.250         0.0      -127.232
+
+method direct: iterations 0, residual <num>, conserved total <num>
+method iterative: iterations 34, residual <num>
+max |direct - iterative| = <num>
+""",
+    "rank team_2v2.json": """\
+model elo:400   method direct
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: VIOLATED
+  bipartition: {A, B} | {C, D}
+
+rank  player            games  avg score     initial        rating
+   1  A                     2      0.700         0.0       102.778
+   2  D                     2      0.500         0.0        48.812
+   3  B                     2      0.550         0.0        -9.553
+   4  C                     2      0.250         0.0      -142.037
+
+method direct: iterations 0, residual <num>, conserved total <num>
+""",
+    "check reference.json --spectral": """\
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: OK
+lopsided pairs (one side took every point): A-B, B-C
+spectral:
+  eigenvalues: -0.500000, -0.500000, 1.000000
+  multiplicity of eigenvalue 1: 1   eigenvalue -1 present: no
+  spectral gap: 0.500000
+  estimated iterations to 1e-10: 34
+""",
+    "check team_2v2.json --spectral": """\
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: VIOLATED
+  bipartition: {A, B} | {C, D}
+spectral:
+  eigenvalues: -1.000000, -0.000000, 0.000000, 1.000000
+  multiplicity of eigenvalue 1: 1   eigenvalue -1 present: yes
+  spectral gap: 0.000000
+  estimated iterations to 1e-10: none (iteration does not converge)
+""",
+    "check disconnected.json": """\
+P1 connected comparison graph: VIOLATED
+  components: {A, B} | {C, D}
+P2 non-bipartite comparison graph: VIOLATED
+  bipartition: {A} | {B}
+""",
+    "performance reference.json --compare": """\
+model elo:400
+player            games  avg score     initial   performance     recursive
+A                     2      0.750         0.0       190.849       127.232
+B                     2      0.500         0.0         0.000        -0.000
+C                     2      0.250         0.0      -190.849      -127.232
+""",
+}
+
+GOLDEN_REFUSALS = {
+    "rank disconnected.json": (
+        EXIT_DISCONNECTED,
+        RANK_NOTE
+        + "P1 violated: tournament splits into independent groups: {A, B} | {C, D}\n",
+    ),
+    "rank team_2v2.json --method iterative": (
+        EXIT_NO_CONVERGENCE,
+        RANK_NOTE
+        + "P2 violated (bipartition {A, B} | {C, D}): the fixed-point iteration "
+        "oscillates and cannot converge; use --method direct\n",
+    ),
+    "performance boundary.json": (
+        EXIT_BOUNDARY,
+        "note: no initial ratings in file; using 0 for every player\n"
+        "boundary score: player A has average score 1; offsets need scores "
+        "strictly inside (0, 1)\n",
+    ),
+}
+
+
+def masked(text: str) -> str:
+    """Mask the numbers printed in e/g format: they are rounding noise."""
+    return re.sub(r"(residual|conserved total|=) \S+?(,|\n)", r"\1 <num>\2", text)
+
+
+def golden_run(capsys, command: str):
+    name, fixture, *rest = command.split()
+    return run(capsys, name, str(FIXTURES / fixture), *rest)
+
+
+class TestGoldenOutput:
+    """Exact table output and refusal messages of a few fixture runs."""
+
+    @pytest.mark.parametrize("command", GOLDEN_STDOUT)
+    def test_table(self, capsys, command):
+        code, out, _ = golden_run(capsys, command)
+        assert code == EXIT_OK
+        assert masked(out) == GOLDEN_STDOUT[command]
+
+    @pytest.mark.parametrize("command", GOLDEN_REFUSALS)
+    def test_refusal(self, capsys, command):
+        code, out, err = golden_run(capsys, command)
+        assert (code, err) == GOLDEN_REFUSALS[command]
+        assert out == ""

@@ -103,9 +103,16 @@ def test_chain_with_triangle_agrees():
     assert_agrees(chain_with_triangle(500), iterates=False)
 
 
+def test_spectral_verdicts_agree_with_bfs_at_a_tiny_gap():
+    # eigenvalues 3.1e-7 from 1 and from -1 are not 1 and -1
+    d = derive(chain_with_triangle(2000))
+    structure, spectral = check_structure(d), spectral_diagnostics(d)
+    assert spectral.multiplicity_one == len(structure.components) == 1
+    assert spectral.has_minus_one is structure.bipartite is False
+
+
 def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
-    # P2 holds, yet the spectral gap (5.5e-7) is below a tolerance of 1e-9 n,
-    # so a spectral verdict would wrongly call this schedule bipartite
+    # P2 holds, yet the spectral gap is only 5.5e-7
     t = chain_with_triangle(1500)
     with pytest.raises(ConvergenceError) as excinfo:
         iterate(derive(t), MODEL, max_iter=10)
