@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import (
+    UNRESOLVED,
     SpectralReport,
     StructureReport,
     check_structure,
@@ -48,7 +49,9 @@ EXIT_DISCONNECTED = 3
 EXIT_BOUNDARY = 4
 EXIT_NO_CONVERGENCE = 5
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 2  # rank and performance
+CHECK_SCHEMA_VERSION = 3  # 3: lambda_2, lambda_min and their bounds, not every eigenvalue
+SHOWN_PAIRS = 10  # lopsided pairs a table lists; the JSON report lists them all
 
 
 def _model_spec(model: RatingModel) -> str:
@@ -108,10 +111,14 @@ def diagnostics_to_dict(
         else _names(players, structure.coloring),
     }
     if spectral is not None:
-        doc["eigenvalues"] = spectral.eigenvalues.tolist()
+        doc["lambda_2"] = spectral.lambda_2
+        doc["lambda_2_bound"] = spectral.lambda_2_bound
+        doc["lambda_min"] = spectral.lambda_min
+        doc["lambda_min_bound"] = spectral.lambda_min_bound
         doc["multiplicity_one"] = spectral.multiplicity_one
         doc["has_minus_one"] = spectral.has_minus_one
         doc["spectral_gap"] = spectral.spectral_gap
+        doc["lanczos_steps"] = spectral.lanczos_steps
     doc["lopsided_pairs"] = _names(players, lopsided)
     return doc
 
@@ -125,22 +132,29 @@ def _print_diagnostics(diag: dict) -> None:
     print(f"P2 non-bipartite comparison graph: {p2}")
     if diag["coloring"] is not None:
         print(f"  bipartition: {_fmt_groups(diag['coloring'])}")
-    if diag["lopsided_pairs"]:
-        pairs = ", ".join(f"{a}-{b}" for a, b in diag["lopsided_pairs"])
+    lopsided = diag["lopsided_pairs"]
+    if lopsided:
+        pairs = ", ".join(f"{a}-{b}" for a, b in lopsided[:SHOWN_PAIRS])
+        if len(lopsided) > SHOWN_PAIRS:
+            pairs = f"{len(lopsided)} pairs, the first {SHOWN_PAIRS}: {pairs}"
         print(f"lopsided pairs (one side took every point): {pairs}")
     if "spectral_gap" not in diag:
         return
-    eigs = ", ".join(f"{v:.6f}" for v in diag["eigenvalues"])
+    minus_one = {True: "yes", False: "no"}.get(diag["has_minus_one"], diag["has_minus_one"])
     print("spectral:")
-    print(f"  eigenvalues: {eigs}")
+    for key in ("lambda_2", "lambda_min"):
+        print(f"  {key}: {diag[key]:.6f}   bound {diag[key + '_bound']:.1e}")
     print(f"  multiplicity of eigenvalue 1: {diag['multiplicity_one']}   "
-          f"eigenvalue -1 present: {'yes' if diag['has_minus_one'] else 'no'}")
+          f"eigenvalue -1 present: {minus_one}")
     print(f"  spectral gap: {diag['spectral_gap']:.6f}")
+    print(f"  Lanczos steps: {diag['lanczos_steps']}")
     rate = 1.0 - diag["spectral_gap"]
-    if 0.0 < rate < 1.0:
-        estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate))
-    else:
-        estimate = 1 if rate <= 0.0 else "none (iteration does not converge)"
+    if UNRESOLVED in (diag["multiplicity_one"], diag["has_minus_one"]):
+        estimate = UNRESOLVED
+    elif diag["multiplicity_one"] != 1 or diag["has_minus_one"]:
+        estimate = "none (iteration does not converge)"
+    else:  # both verdicts resolved in its favour: 0 <= rate < 1
+        estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate)) if rate > 0.0 else 1
     print(f"  estimated iterations to {DEFAULT_SOLVE_TOL:g}: {estimate}")
 
 
@@ -265,10 +279,10 @@ def cmd_check(args: argparse.Namespace) -> dict:
     t = load_tournament(args.input).tournament
     d = derive(t)
     structure = check_structure(d)
-    spectral = spectral_diagnostics(d) if args.spectral else None
+    spectral = spectral_diagnostics(d, structure=structure) if args.spectral else None
     del d  # else the CSR arrays stay alive while the report is built, the memory peak
     return {
-        "schema": REPORT_SCHEMA_VERSION,
+        "schema": CHECK_SCHEMA_VERSION,
         "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), spectral, t.players),
     }
 
@@ -366,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="validate assumptions P1 and P2")
     check.add_argument("input")
     check.add_argument("--spectral", action="store_true",
-                       help="add the eigenvalue summary and convergence prognosis")
+                       help="add lambda_2 and lambda_min of Mbar with their error "
+                       "bounds (deflated Lanczos), the spectral verdicts and the "
+                       "convergence prognosis")
     check.add_argument("--format", choices=("table", "json"), default="table")
     check.set_defaults(func=cmd_check,
                        table=lambda doc: _print_diagnostics(doc["diagnostics"]))

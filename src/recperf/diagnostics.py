@@ -9,9 +9,11 @@ absolute value, have 1 with multiplicity equal to the number of connected
 components, and include -1 exactly for bipartite schedules.
 
 The traversal walks the CSR adjacency of `derive` one BFS level at a time,
-in O(n + pairs). The spectrum needs the full n x n symmetric matrix for a
-dense eigensolver; it is the only O(n^2)-memory, O(n^3)-time check, and
-only `check --spectral` runs it.
+in O(n + pairs). The spectral check needs only the extremes of the
+spectrum, lambda_2 and lambda_min, once the unit eigenvalues the BFS
+predicts are deflated; Lanczos finds them through the same CSR kernel in
+O(k * pairs + k^2 * n) time and O(k * n) memory for k steps, with k capped
+so that its basis stays under 64 MB. Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tournament import DerivedMatrices, Tournament
+
+UNRESOLVED = "unresolved"  # a spectral verdict whose bound straddles the tolerance
+_BASIS_BYTES = 64 * 2**20  # the Lanczos basis never grows past this, whatever n is
 
 
 @dataclass(frozen=True)
@@ -43,17 +48,34 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectrum summary of the opponent-weighting matrix.
+    """The extreme eigenvalues of the opponent-weighting matrix, with bounds.
 
-    eigenvalues are sorted ascending. `spectral_gap` is one minus the
-    largest magnitude among eigenvalues outside the 1-cluster; it drives the
+    `eigenvalues` holds the resolved extremes, ascending: lambda_min,
+    lambda_2 (the largest eigenvalue apart from the unit ones), then each
+    eigenvalue found within `tol` of 1. Some eigenvalue lies within
+    `lambda_2_bound` of lambda_2 and within `lambda_min_bound` of
+    lambda_min (Ritz residual norms). `multiplicity_one` and
+    `has_minus_one` read UNRESOLVED when a bound straddles the tolerance.
+    `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|); it drives the
     asymptotic convergence rate of the fixed-point iteration.
+    `lanczos_steps` is the dimension of the Krylov space searched.
     """
 
     eigenvalues: np.ndarray
-    multiplicity_one: int
-    has_minus_one: bool
+    multiplicity_one: int | str
+    has_minus_one: bool | str
     spectral_gap: float
+    lambda_2_bound: float
+    lambda_min_bound: float
+    lanczos_steps: int
+
+    @property
+    def lambda_2(self) -> float:
+        return float(self.eigenvalues[1])
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.eigenvalues[0])
 
 
 def check_structure(d: DerivedMatrices) -> StructureReport:
@@ -108,42 +130,201 @@ def check_structure(d: DerivedMatrices) -> StructureReport:
     )
 
 
-def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None) -> SpectralReport:
-    """Eigenvalues of Mbar via the symmetric similarity D^-1/2 M D^-1/2.
+def _unit_vectors(d: DerivedMatrices, apply, structure: StructureReport,
+                  root: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sqrt(m) vector z_C of each BFS component C that S fixes within `tol`.
 
-    The similar matrix is symmetric, so a symmetric eigensolver applies and
-    the (shared) spectrum is real by construction.
+    Only a component that no game leaves is checked, so a wrong BFS split
+    is never deflated. For those, S z_C is S z on C, where z holds every
+    z_C side by side, so one product checks them all. Returns each
+    player's component, the vectors kept side by side (zero elsewhere)
+    and the Rayleigh quotient of each. A player no component lists joins
+    the first one, which that player's games then make fail the check.
+    """
+    groups = len(structure.components)
+    label = np.zeros(d.n, dtype=np.int32)
+    for k, members in enumerate(structure.components):
+        label[list(members)] = k
+    leaves = np.logical_or.reduceat(
+        label[d.indices] != np.repeat(label, np.diff(d.indptr)), d.indptr[:-1])
+    z = root / np.sqrt(np.bincount(label, root * root, minlength=groups))[label]
+    sz = apply(z)
+    kept = ((np.bincount(label, leaves, minlength=groups) == 0)
+            & (np.sqrt(np.bincount(label, (sz - z) ** 2, minlength=groups)) <= tol))
+    z[~kept[label]] = 0.0
+    return label, z, np.bincount(label, z * sz, minlength=groups)[kept]
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """n pseudo-random numbers in [-1/2, 1/2), the same on every call.
+
+    The splitmix64 hash of 1..n: importing numpy.random for this would
+    add 6 MB to the peak RSS of `check --spectral` on small inputs.
+    """
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # mod 2^64
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
+def _eigenvector(alphas: list[float], betas: list[float], theta: float) -> np.ndarray:
+    """The unit eigenvector of the symmetric tridiagonal T for its eigenvalue theta.
+
+    T has diagonal `alphas` and off-diagonal `betas`. Two steps of inverse
+    iteration, each solving (T - theta I) x = b by Gaussian elimination
+    with partial pivoting, as LAPACK's dgtsv does, in O(k) memory; a zero
+    pivot is taken as eps (|T| <= |S| = 1). `eigh` would form every
+    eigenvector in an O(k^2) workspace, which on small inputs raised the
+    memory peak of `check --spectral` above the dense solve it replaces.
+    """
+    k = len(alphas)
+    tiny = np.finfo(float).eps
+    x = _start_vector(k)
+    for _ in range(2):
+        b = (x / np.linalg.norm(x)).tolist()
+        d = [a - theta for a in alphas]
+        up = betas + [0.0]  # each row's entry right of the diagonal
+        up2 = [0.0] * (k + 1)  # and two right of it, filled in by a row swap
+        for i, low in enumerate(betas):
+            if abs(d[i]) < abs(low):  # swap rows i and i + 1
+                f = d[i] / low
+                d[i], d[i + 1], up[i], up2[i], up[i + 1] = (
+                    low, up[i] - f * d[i + 1], d[i + 1], up[i + 1], -f * up[i + 1])
+                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
+            else:
+                f = low / (d[i] or tiny)
+                d[i + 1] -= f * up[i]
+                b[i + 1] -= f * b[i]
+        x = [0.0] * (k + 2)
+        for i in range(k - 1, -1, -1):
+            x[i] = (b[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / (d[i] or tiny)
+        x = np.array(x[:k])
+    return x / np.linalg.norm(x)
+
+
+def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
+                         structure: StructureReport | None = None) -> SpectralReport:
+    """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
+
+    Mbar is similar to the symmetric S = D^-1/2 M D^-1/2, applied as
+    sqrt(m) * Mbar (v / sqrt(m)) through the CSR, so no n x n array is
+    built. The sqrt(m) vector of each BFS component of `structure`
+    (computed here when not given) is deflated once S is seen to fix it
+    within `tol`. Lanczos then runs on the rest from a fixed-seed start,
+    orthogonalized twice (CGS2) against its basis and the deflated
+    vectors. Every few steps (a geometric schedule) the k x k tridiagonal
+    is solved; the run stops when the residual estimates of the top and
+    bottom Ritz values are within `tol`, on breakdown, or when the basis
+    would pass _BASIS_BYTES. Some eigenvalue lies within the Ritz residual
+    norm of each Ritz value, so each verdict carries its bound:
+    `multiplicity_one` counts the deflated vectors and every Ritz value
+    within tol of 1 once lambda_2 plus its bound falls below 1 - tol, and
+    `has_minus_one` is decided once lambda_min's bound keeps it off or
+    puts it within tol of -1. Otherwise the verdict is UNRESOLVED. A bound
+    shows that an eigenvalue lies near a Ritz value, not that none lies
+    beyond it: from a generic start Lanczos finds the extremes first, but
+    a run the budget cuts short may not have reached them.
 
     `tol` is how close an eigenvalue must come to 1 or -1 to count as one.
-    The default is a rounding bound: the matrix has norm 1, so `eigvalsh`
-    is off by a small multiple of n * eps, and 64 * n * eps (2.8e-11 at
-    n = 2000) covers that. A looser bound such as 1e-9 * n took eigenvalues
-    3e-7 away from 1 and -1 for 1 and -1 on a 2000-player chain closed by
-    one triangle, which is connected and not bipartite.
+    The default is a rounding bound, 64 * n * eps (2.8e-11 at n = 2000).
+    A looser bound such as 1e-9 * n took eigenvalues 3e-7 away from 1 and
+    -1 for 1 and -1 on a 2000-player chain closed by one triangle, which
+    is connected and not bipartite.
     """
+    n = d.n
     if tol is None:
-        tol = 64 * d.n * np.finfo(float).eps
+        tol = 64 * n * np.finfo(float).eps
+    if structure is None:
+        structure = check_structure(d)
     root = np.sqrt(d.m)
-    sym = np.zeros((d.n, d.n))
-    for i in range(d.n):
-        # row i's entries above the diagonal, M_ij / sqrt(m_i m_j) with
-        # M_ij = m_i Mbar_ij, written to both triangles: exactly symmetric
-        lo, hi = d.indptr[i], d.indptr[i + 1]
-        j = d.indices[lo:hi]
-        above = j > i
-        j = j[above]
-        sym[i, j] = sym[j, i] = d.weights[lo:hi][above] * root[i] / root[j]
-    eigenvalues = np.linalg.eigvalsh(sym)
-    near_one = np.abs(eigenvalues - 1.0) <= tol
-    rest = np.abs(eigenvalues[~near_one])
-    gap = 1.0 - float(rest.max()) if rest.size else 1.0
-    frozen = eigenvalues.copy()
-    frozen.flags.writeable = False
+    root /= root.max()  # as in the direct solve: clear of underflow for tiny game totals
+
+    def apply(v: np.ndarray) -> np.ndarray:  # S v
+        return root * d.mbar_dot(v / root)
+
+    label, z, units = _unit_vectors(d, apply, structure, root, tol)
+
+    def deflate(w: np.ndarray) -> None:
+        w -= z * np.bincount(label, z * w)[label]
+
+    v = _start_vector(n)
+    deflate(v)
+    deflate(v)
+    v /= np.linalg.norm(v)
+    limit = min(n - units.size, max(1, _BASIS_BYTES // (8 * n)))
+    # the basis, one vector a row, in blocks of at least 2 MB that double in
+    # size: few blocks keep the per-step products few on small inputs
+    blocks: list[np.ndarray] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    check = 8
+    while True:
+        k = len(alphas)
+        if not blocks or used == len(blocks[-1]):
+            blocks.append(np.empty((min(max(k, 2**18 // n, 1), limit - k), n)))
+            used = 0
+        blocks[-1][used] = v
+        used += 1
+        basis = [*blocks[:-1], blocks[-1][:used]]
+        w = apply(v)
+        alpha = 0.0
+        for _ in range(2):
+            deflate(w)
+            for part in basis:
+                h = part @ w
+                w -= h @ part
+            alpha += h[-1]
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        k += 1
+        if beta <= tol or k == limit or k == check:
+            tridiagonal = np.zeros((k, k))
+            tridiagonal.flat[::k + 1] = alphas
+            tridiagonal.flat[k::k + 1] = betas  # eigvalsh reads the lower triangle
+            theta = np.linalg.eigvalsh(tridiagonal)
+            # Ritz vectors in the basis, and beta |their last entry|, which
+            # estimates their residuals: the largest one not within tol of
+            # 1 (and each one above it), then the smallest
+            top = k - 1
+            s_top = _eigenvector(alphas, betas, theta[top])
+            while top > 0 and theta[top] - beta * abs(s_top[-1]) >= 1.0 - tol:
+                top -= 1
+                s_top = _eigenvector(alphas, betas, theta[top])
+            stop = beta <= tol or k == limit
+            if stop or beta * abs(s_top[-1]) <= tol:
+                s_min = _eigenvector(alphas, betas, theta[0])
+                if stop or beta * abs(s_min[-1]) <= tol:
+                    break
+            check = k + k // 4
+        betas.append(beta)
+        v = w / beta
+
+    # the bounds are the residuals of the Ritz vectors themselves, not estimates
+    edges = np.cumsum([0] + [len(part) for part in basis])
+    ritz = sum(np.stack([s_top[a:b], s_min[a:b]]) @ part
+               for a, b, part in zip(edges, edges[1:], basis))
+    lambda_2, lambda_min = float(theta[top]), float(theta[0])
+    bound_2, bound_min = (float(np.linalg.norm(apply(y) - value * y) / np.linalg.norm(y))
+                          for y, value in zip(ritz, (lambda_2, lambda_min)))
+    if lambda_min + bound_min <= -1.0 + tol:
+        minus_one: bool | str = True
+    elif lambda_min - bound_min > -1.0 + tol:
+        minus_one = False
+    else:
+        minus_one = UNRESOLVED
+    ones = np.sort(np.concatenate([units, theta[top + 1:]]))
+    eigenvalues = np.concatenate([[lambda_min, lambda_2], ones])
+    eigenvalues.flags.writeable = False
     return SpectralReport(
-        eigenvalues=frozen,
-        multiplicity_one=int(near_one.sum()),
-        has_minus_one=bool(np.any(np.abs(eigenvalues + 1.0) <= tol)),
-        spectral_gap=gap,
+        eigenvalues=eigenvalues,
+        multiplicity_one=ones.size if lambda_2 + bound_2 < 1.0 - tol else UNRESOLVED,
+        has_minus_one=minus_one,
+        spectral_gap=1.0 - max(abs(lambda_2), abs(lambda_min)),
+        lambda_2_bound=bound_2,
+        lambda_min_bound=bound_min,
+        lanczos_steps=k,
     )
 
 

@@ -135,11 +135,22 @@ def _lines(text: str):
         start = end
 
 
-def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> list[float]:
-    """The n numbers of data row i (0-based), or ParseError at its first bad cell."""
+def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.ndarray:
+    """The n numbers of data row i (0-based), or ParseError at its first bad cell.
+
+    numpy converts a row at once, reading each cell as `float` does; only a
+    row it rejects is walked cell by cell, to word the first bad cell.
+    """
     line = i + 2
     if len(row) != n + 1:
         raise ParseError(f"line {line}: expected {n + 1} cells, got {len(row)}")
+    cells = row[1:]
+    if not cells[i].strip():
+        cells[i] = "0"  # an empty diagonal cell
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        pass
     label = row[0].strip()
     values = []
     for j, cell in enumerate(row[1:]):
@@ -158,7 +169,7 @@ def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> list[f
                 f"line {line}, column {j + 2} ({label} vs {header[j]}): "
                 f"non-numeric cell {cell!r}"
             ) from None
-    return values
+    return np.array(values)
 
 
 def parse_tournament_csv(text: str) -> ParsedTournament:
@@ -179,7 +190,7 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
         if i >= n or first_error is not None:
             continue
         try:
-            values.append(np.array(_crosstable_row(row, i, n, header)))
+            values.append(_crosstable_row(row, i, n, header))
         except ParseError as exc:
             first_error = exc
         labels.append(row[0].strip())

@@ -145,11 +145,6 @@ def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
     return chat
 
 
-def _mbar_dot(d: DerivedMatrices, x: np.ndarray) -> np.ndarray:
-    """Mbar @ x over the CSR adjacency; every row is non-empty."""
-    return np.add.reduceat(d.weights * x[d.indices], d.indptr[:-1])
-
-
 def performance(d: DerivedMatrices, model: RatingModel, r: np.ndarray, *,
                 clamp_scores: bool = False) -> np.ndarray:
     """One-shot performance Mbar r + c under initial ratings r.
@@ -158,7 +153,7 @@ def performance(d: DerivedMatrices, model: RatingModel, r: np.ndarray, *,
     rating plus an offset determined by the achieved score share.
     """
     r = _as_vector(r, d)
-    return _mbar_dot(d, r) + offsets(d, model, clamp_scores=clamp_scores)
+    return d.mbar_dot(r) + offsets(d, model, clamp_scores=clamp_scores)
 
 
 def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
@@ -181,12 +176,12 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    current = _mbar_dot(d, r) + chat
+    current = d.mbar_dot(r) + chat
     trace = [current.copy()] if record_trace else None
     step = float("inf")
     with np.errstate(over="ignore"):  # ratings of +-1e308 overflow the step to inf
         for iteration in range(1, max_iter + 1):
-            nxt = _mbar_dot(d, current)
+            nxt = d.mbar_dot(current)
             nxt += chat
             last, step = step, float(np.abs(nxt - current).max())
             current = nxt
@@ -199,7 +194,7 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
                     ratings=current,
                     method="iterative",
                     iterations=iteration,
-                    residual=float(np.abs(current - (_mbar_dot(d, current) + chat)).max()),
+                    residual=float(np.abs(current - (d.mbar_dot(current) + chat)).max()),
                     pinned_total=float(d.m @ current),
                     trace=tuple(trace) if trace is not None else None,
                 )
@@ -238,7 +233,7 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
         p = res.copy()
         rr = float(res @ res)
         while not converged():
-            q = p - root * _mbar_dot(d, p / root)
+            q = p - root * d.mbar_dot(p / root)
             curvature = float(p @ q)
             if iterations == 10 * d.n or not curvature > 0:
                 raise ConvergenceError(iterations, float(np.abs(res / root).max()),
@@ -250,7 +245,7 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
             p *= rr / rr_old
             p += res
             iterations += 1
-        res = root * chat - (u - root * _mbar_dot(d, u / root))
+        res = root * chat - (u - root * d.mbar_dot(u / root))
     y = u / root
     y -= (d.m / d.m.sum()) @ y
     return y
@@ -277,7 +272,7 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
     rho = float((d.m / d.m.sum()) @ r)
     x = _conjugate_gradients(d, chat) + rho
-    residual = float(np.abs((x - _mbar_dot(d, x)) - chat).max())
+    residual = float(np.abs((x - d.mbar_dot(x)) - chat).max())
     return SolveOutcome(
         ratings=x,
         method="direct",

@@ -165,6 +165,10 @@ class DerivedMatrices:
     def n(self) -> int:
         return self.m.shape[0]
 
+    def mbar_dot(self, x: np.ndarray) -> np.ndarray:
+        """Mbar @ x over the CSR adjacency; every row is non-empty."""
+        return np.add.reduceat(self.weights * x[self.indices], self.indptr[:-1])
+
 
 def build_tournament(
     players: Sequence[str],

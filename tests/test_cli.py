@@ -157,7 +157,8 @@ class TestCheck:
         assert doc["diagnostics"]["lopsided_pairs"] == [["A", "B"], ["B", "C"]]
 
 
-SPECTRAL_KEYS = {"eigenvalues", "multiplicity_one", "has_minus_one", "spectral_gap"}
+SPECTRAL_KEYS = {"lambda_2", "lambda_2_bound", "lambda_min", "lambda_min_bound",
+                 "multiplicity_one", "has_minus_one", "spectral_gap", "lanczos_steps"}
 
 
 class TestSinglePass:
@@ -200,7 +201,10 @@ class TestSinglePass:
         assert code == EXIT_OK
         assert calls == {"derive": 2, "check_structure": 2, "spectral_diagnostics": 1}
         if fmt == "json":
-            assert SPECTRAL_KEYS <= json.loads(out)["diagnostics"].keys()
+            doc = json.loads(out)
+            assert doc["schema"] == 3
+            assert SPECTRAL_KEYS <= doc["diagnostics"].keys()
+            assert "eigenvalues" not in doc["diagnostics"]
 
 
 class TestPerformance:
@@ -450,9 +454,11 @@ P1 connected comparison graph: OK
 P2 non-bipartite comparison graph: OK
 lopsided pairs (one side took every point): A-B, B-C
 spectral:
-  eigenvalues: -0.500000, -0.500000, 1.000000
+  lambda_2: -0.500000   bound <num>
+  lambda_min: -0.500000   bound <num>
   multiplicity of eigenvalue 1: 1   eigenvalue -1 present: no
   spectral gap: 0.500000
+  Lanczos steps: 1
   estimated iterations to 1e-10: 34
 """,
     "check team_2v2.json --spectral": """\
@@ -460,9 +466,11 @@ P1 connected comparison graph: OK
 P2 non-bipartite comparison graph: VIOLATED
   bipartition: {A, B} | {C, D}
 spectral:
-  eigenvalues: -1.000000, -0.000000, 0.000000, 1.000000
+  lambda_2: 0.000000   bound <num>
+  lambda_min: -1.000000   bound <num>
   multiplicity of eigenvalue 1: 1   eigenvalue -1 present: yes
   spectral gap: 0.000000
+  Lanczos steps: 2
   estimated iterations to 1e-10: none (iteration does not converge)
 """,
     "check disconnected.json": """\
@@ -479,6 +487,13 @@ B                     2      0.500         0.0         0.000        -0.000
 C                     2      0.250         0.0      -190.849      -127.232
 """,
 }
+
+GOLDEN_LOPSIDED = """\
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: OK
+lopsided pairs (one side took every point): 13 pairs, the first 10: P00-P01, P00-P12, \
+P01-P02, P02-P03, P03-P04, P04-P05, P05-P06, P06-P07, P07-P08, P08-P09
+"""
 
 GOLDEN_REFUSALS = {
     "rank disconnected.json": (
@@ -503,7 +518,7 @@ GOLDEN_REFUSALS = {
 
 def masked(text: str) -> str:
     """Mask the numbers printed in e/g format: they are rounding noise."""
-    return re.sub(r"(residual|conserved total|=) \S+?(,|\n)", r"\1 <num>\2", text)
+    return re.sub(r"(residual|conserved total|bound|=) \S+?(,|\n)", r"\1 <num>\2", text)
 
 
 def golden_run(capsys, command: str):
@@ -519,6 +534,18 @@ class TestGoldenOutput:
         code, out, _ = golden_run(capsys, command)
         assert code == EXIT_OK
         assert masked(out) == GOLDEN_STDOUT[command]
+
+    def test_table_lists_the_first_lopsided_pairs(self, capsys, tmp_path):
+        # an odd ring of decisive games: 13 lopsided pairs
+        names = [f"P{k:02d}" for k in range(13)]
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"players": names, "matches": [
+            {"a": names[k], "b": names[(k + 1) % 13], "score_a": 1.0} for k in range(13)]}))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == EXIT_OK
+        assert out == GOLDEN_LOPSIDED
+        code, out, _ = run(capsys, "check", str(path), "--format", "json")
+        assert len(json.loads(out)["diagnostics"]["lopsided_pairs"]) == 13
 
     @pytest.mark.parametrize("command", GOLDEN_REFUSALS)
     def test_refusal(self, capsys, command):

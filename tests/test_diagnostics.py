@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recperf import (
+    StructureReport,
     Tournament,
     build_tournament,
     check_structure,
@@ -9,6 +10,7 @@ from recperf import (
     lopsided_pairs,
     spectral_diagnostics,
 )
+from recperf.diagnostics import UNRESOLVED
 
 from conftest import forced_bipartite, forced_disconnected, random_tournament
 from reference import limit_power_check, mbar_dense, permute_tournament
@@ -69,8 +71,9 @@ class TestSpectral:
         assert report.spectral_gap == pytest.approx(0.5, abs=1e-12)
 
     def test_team_tournament_spectrum(self):
+        # lambda_min, lambda_2 and the unit eigenvalue; 0 is a double eigenvalue
         report = spectral_diagnostics(derive(team_2v2()))
-        assert np.allclose(report.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(report.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-12)
         assert report.has_minus_one
         assert report.spectral_gap == pytest.approx(0.0, abs=1e-12)
 
@@ -85,6 +88,47 @@ class TestSpectral:
             report = spectral_diagnostics(d)
             assert np.all(np.diff(report.eigenvalues) >= 0)
             assert np.abs(report.eigenvalues).max() <= 1 + 1e-9
+
+    def test_verdicts_carry_their_bounds(self):
+        report = spectral_diagnostics(derive(triangle()))
+        assert report.lambda_2 == report.eigenvalues[1]
+        assert report.lambda_min == report.eigenvalues[0]
+        assert 0.0 <= report.lambda_2_bound <= 1e-12
+        assert 0.0 <= report.lambda_min_bound <= 1e-12
+        assert report.lanczos_steps == 1  # the complement of sqrt(m) is one eigenspace
+
+
+class TestDoctoredStructure:
+    """A StructureReport that is wrong must never be echoed by the spectrum."""
+
+    def test_merged_components_are_not_called_connected(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            t = forced_disconnected(rng)
+            d = derive(t)
+            truth = check_structure(d)
+            merged = StructureReport(True, (tuple(range(t.n)),), truth.bipartite,
+                                     truth.coloring)
+            report = spectral_diagnostics(d, structure=merged)
+            assert report.multiplicity_one != 1
+            assert report.multiplicity_one in (len(truth.components), UNRESOLVED)
+
+    def test_split_component_is_not_called_split(self):
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            t = random_tournament(rng, n_min=4)
+            d = derive(t)
+            half = t.n // 2
+            split = StructureReport(False, (tuple(range(half)), tuple(range(half, t.n))),
+                                    False, None)
+            report = spectral_diagnostics(d, structure=split)
+            assert report.multiplicity_one != 2
+            assert report.multiplicity_one in (1, UNRESOLVED)
+
+    def test_structure_is_computed_when_not_given(self):
+        d = derive(two_pairs())
+        assert spectral_diagnostics(d).multiplicity_one == 2
+        assert spectral_diagnostics(d, structure=check_structure(d)).multiplicity_one == 2
 
 
 class TestVerdictAgreement:

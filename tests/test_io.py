@@ -177,6 +177,18 @@ class TestCsvParsing:
         with pytest.raises(ParseError, match=r"^line 2, column 3: empty cell off the diagonal$"):
             parse_tournament(",A,B\nA,,\nB,0,\n", fmt="csv")
 
+    def test_cells_read_as_float_reads_them(self):
+        # spellings float accepts: whitespace, exponents, underscores, signs
+        cells = [" 1.5 ", "2e0", "1_0", "+.25", "\t3\t", "0.5E+1"]
+        text = ",A,B,C\nA, 0 ,{},{}\nB,{},,{}\nC,{},{},  \n".format(*cells)
+        matrix = parse_tournament(text, fmt="csv").tournament.score_matrix
+        expected = [[0, 1.5, 2], [10, 0, 0.25], [3, 5, 0]]
+        assert np.array_equal(matrix, expected)
+
+    def test_bad_diagonal_cell_reports_position(self):
+        with pytest.raises(ParseError, match=r"^line 3, column 3 \(B vs B\): non-numeric cell 'x'$"):
+            parse_tournament(",A,B\nA,,1\nB,0,x\n", fmt="csv")
+
     def test_label_mismatch(self):
         with pytest.raises(ParseError, match="do not match"):
             parse_tournament(",A,B\nB,,1\nA,0,\n", fmt="csv")

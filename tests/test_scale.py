@@ -1,12 +1,15 @@
 """The CSR core against the dense oracle of reference.py, up to n = 1000,
-and a memory bound that only an O(pairs) core can meet at n = 5000.
+and memory bounds that only an O(pairs) core can meet at n = 5000 and
+n = 20000.
 
 Every case must give the oracle's StructureReport and lopsided pairs
 exactly, direct ratings within 1e-9 * scale, fixed-point iteration counts
-within one step, and eigenvalues within 1e-12.
+within one step, and lambda_2, lambda_min and the spectral gap within the
+reported Ritz bounds plus 1e-12 of rounding.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -31,7 +34,9 @@ from recperf import (
     spectral_diagnostics,
     tournament_to_json,
 )
+from recperf import diagnostics
 from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
+from recperf.diagnostics import UNRESOLVED
 
 from reference import (
     dense_derive,
@@ -40,10 +45,12 @@ from reference import (
     dense_lopsided_pairs,
     dense_solve,
     dense_structure,
+    permute_tournament,
     tournament_to_csv,
 )
 
 MODEL = elo()
+ROUNDING = 1e-12  # the dense eigensolver's own error, on top of the Ritz bounds
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -72,13 +79,26 @@ def chain_with_triangle(n: int) -> Tournament:
     return build_tournament(names, records + [(names[0], names[2], 0.6)])
 
 
+def assert_extremes_match(report, dense: np.ndarray, structure) -> None:
+    """lambda_2, lambda_min and the gap of `report` against the full dense
+    spectrum, whose top len(components) eigenvalues are the unit ones."""
+    ones = len(structure.components)
+    assert report.multiplicity_one == ones
+    assert report.has_minus_one is structure.bipartite
+    rest = dense[:-ones]
+    assert abs(report.lambda_2 - rest[-1]) <= report.lambda_2_bound + ROUNDING
+    assert abs(report.lambda_min - rest[0]) <= report.lambda_min_bound + ROUNDING
+    gap = 1.0 - max(abs(rest[-1]), abs(rest[0]))
+    bound = max(report.lambda_2_bound, report.lambda_min_bound)
+    assert abs(report.spectral_gap - gap) <= bound + ROUNDING
+
+
 def assert_agrees(t: Tournament, *, iterates: bool) -> None:
     d, dd = derive(t), dense_derive(t)
     structure = check_structure(d)
     assert structure == dense_structure(dd)
     assert lopsided_pairs(t) == dense_lopsided_pairs(t)
-    eigenvalues = spectral_diagnostics(d).eigenvalues
-    assert np.abs(eigenvalues - dense_eigenvalues(dd)).max() <= 1e-12
+    assert_extremes_match(spectral_diagnostics(d), dense_eigenvalues(dd), structure)
     if not structure.connected:
         with pytest.raises(SingularSystemError):
             solve_direct(d, MODEL, clamp_scores=True, structure=structure)
@@ -186,3 +206,70 @@ def test_memory_stays_linear_in_pairs(tmp_path):
     code, _, peak = traced_main(["rank", str(path), "--method", "iterative", "--max-iter", "5"])
     assert code == EXIT_NO_CONVERGENCE
     assert peak < 40_000_000
+
+
+def test_spectral_report_repeats_exactly_and_survives_relabelling():
+    t = random_schedule(np.random.default_rng(301), 300, 1500)
+    d = derive(t)
+    report, again = spectral_diagnostics(d), spectral_diagnostics(d)
+    for field in dataclasses.fields(report):
+        assert np.array_equal(getattr(report, field.name), getattr(again, field.name))
+    perm = np.random.default_rng(302).permutation(t.n)
+    moved = spectral_diagnostics(derive(permute_tournament(t, perm)))
+    assert abs(moved.lambda_2 - report.lambda_2) <= (
+        moved.lambda_2_bound + report.lambda_2_bound + ROUNDING)
+    assert abs(moved.lambda_min - report.lambda_min) <= (
+        moved.lambda_min_bound + report.lambda_min_bound + ROUNDING)
+    assert (moved.multiplicity_one, moved.has_minus_one) == (1, False)
+
+
+def test_spectral_memory_stays_linear_at_n_20000():
+    # the dense eigensolver needed one 20000 x 20000 array: 3.2 GB
+    d = derive(random_schedule(np.random.default_rng(20000), 20_000, 400_000))
+    structure = check_structure(d)
+    tracemalloc.start()
+    try:
+        report = spectral_diagnostics(d, structure=structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000_000
+    assert (report.multiplicity_one, report.has_minus_one) == (1, False)
+    assert max(report.lambda_2_bound, report.lambda_min_bound) < 1e-6
+
+
+def test_spectral_gap_matches_arpack_at_n_5000():
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    d = derive(random_schedule(np.random.default_rng(5000), 5000, 25_000))
+    report = spectral_diagnostics(d)
+    root = np.sqrt(d.m)
+    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
+    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
+                            shape=(d.n, d.n))
+    lambda_2 = eigsh(sym, k=2, which="LA", tol=1e-13, return_eigenvectors=False).min()
+    lambda_min = eigsh(sym, k=1, which="SA", tol=1e-13, return_eigenvectors=False)[0]
+    gap = 1.0 - max(abs(lambda_2), abs(lambda_min))
+    bound = max(report.lambda_2_bound, report.lambda_min_bound)
+    assert abs(report.spectral_gap - gap) <= bound + 1e-10
+    assert abs(report.lambda_2 - lambda_2) <= report.lambda_2_bound + 1e-10
+    assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + 1e-10
+
+
+def test_a_basis_cut_short_leaves_the_verdicts_unresolved(tmp_path, monkeypatch, capsys):
+    # 16 Lanczos vectors put lambda_2 at 0.993 +- 0.02 and lambda_min at
+    # -0.995 +- 0.02: neither bound keeps clear of 1 or -1
+    t = chain_with_triangle(400)
+    monkeypatch.setattr(diagnostics, "_BASIS_BYTES", 16 * 8 * t.n)
+    report = spectral_diagnostics(derive(t))
+    assert report.lanczos_steps == 16
+    assert report.multiplicity_one == report.has_minus_one == UNRESOLVED
+    path = tmp_path / "chain.json"
+    path.write_text(tournament_to_json(t))
+    assert main(["check", str(path), "--spectral", "--format", "json"]) == EXIT_OK
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["multiplicity_one"] == diag["has_minus_one"] == "unresolved"
+    assert main(["check", str(path), "--spectral"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "multiplicity of eigenvalue 1: unresolved   eigenvalue -1 present: unresolved" in out
+    assert "estimated iterations to 1e-10: unresolved" in out
