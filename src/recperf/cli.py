@@ -151,7 +151,7 @@ def _print_diagnostics(diag: dict) -> None:
     rate = 1.0 - diag["spectral_gap"]
     if UNRESOLVED in (diag["multiplicity_one"], diag["has_minus_one"]):
         estimate = UNRESOLVED
-    elif diag["multiplicity_one"] != 1 or diag["has_minus_one"]:
+    elif diag["multiplicity_one"] != 1 or diag["has_minus_one"] is True:
         estimate = "none (iteration does not converge)"
     else:  # both verdicts resolved in its favour: 0 <= rate < 1
         estimate = math.ceil(math.log(DEFAULT_SOLVE_TOL) / math.log(rate)) if rate > 0.0 else 1

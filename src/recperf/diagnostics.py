@@ -24,7 +24,7 @@ import numpy as np
 
 from .tournament import DerivedMatrices, Tournament
 
-UNRESOLVED = "unresolved"  # a spectral verdict whose bound straddles the tolerance
+UNRESOLVED = "unresolved"  # a spectral verdict the bounds or the basis budget leave open
 _BASIS_BYTES = 64 * 2**20  # the Lanczos basis never grows past this, whatever n is
 
 
@@ -55,7 +55,10 @@ class SpectralReport:
     eigenvalue found within `tol` of 1. Some eigenvalue lies within
     `lambda_2_bound` of lambda_2 and within `lambda_min_bound` of
     lambda_min (Ritz residual norms). `multiplicity_one` and
-    `has_minus_one` read UNRESOLVED when a bound straddles the tolerance.
+    `has_minus_one` read UNRESOLVED when a bound straddles the tolerance
+    or the basis budget ended the run. UNRESOLVED is a non-empty string,
+    so compare the verdicts with `is True`, `is False` or `== 1`; never
+    test them for truth.
     `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|); it drives the
     asymptotic convergence rate of the fixed-point iteration.
     `lanczos_steps` is the dimension of the Krylov space searched.
@@ -169,41 +172,6 @@ def _start_vector(n: int) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _eigenvector(alphas: list[float], betas: list[float], theta: float) -> np.ndarray:
-    """The unit eigenvector of the symmetric tridiagonal T for its eigenvalue theta.
-
-    T has diagonal `alphas` and off-diagonal `betas`. Two steps of inverse
-    iteration, each solving (T - theta I) x = b by Gaussian elimination
-    with partial pivoting, as LAPACK's dgtsv does, in O(k) memory; a zero
-    pivot is taken as eps (|T| <= |S| = 1). `eigh` would form every
-    eigenvector in an O(k^2) workspace, which on small inputs raised the
-    memory peak of `check --spectral` above the dense solve it replaces.
-    """
-    k = len(alphas)
-    tiny = np.finfo(float).eps
-    x = _start_vector(k)
-    for _ in range(2):
-        b = (x / np.linalg.norm(x)).tolist()
-        d = [a - theta for a in alphas]
-        up = betas + [0.0]  # each row's entry right of the diagonal
-        up2 = [0.0] * (k + 1)  # and two right of it, filled in by a row swap
-        for i, low in enumerate(betas):
-            if abs(d[i]) < abs(low):  # swap rows i and i + 1
-                f = d[i] / low
-                d[i], d[i + 1], up[i], up2[i], up[i + 1] = (
-                    low, up[i] - f * d[i + 1], d[i + 1], up[i + 1], -f * up[i + 1])
-                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
-            else:
-                f = low / (d[i] or tiny)
-                d[i + 1] -= f * up[i]
-                b[i + 1] -= f * b[i]
-        x = [0.0] * (k + 2)
-        for i in range(k - 1, -1, -1):
-            x[i] = (b[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / (d[i] or tiny)
-        x = np.array(x[:k])
-    return x / np.linalg.norm(x)
-
-
 def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
                          structure: StructureReport | None = None) -> SpectralReport:
     """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
@@ -225,7 +193,8 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     puts it within tol of -1. Otherwise the verdict is UNRESOLVED. A bound
     shows that an eigenvalue lies near a Ritz value, not that none lies
     beyond it: from a generic start Lanczos finds the extremes first, but
-    a run the budget cuts short may not have reached them.
+    a run the budget cuts short may not have reached them, so both
+    verdicts of such a run read UNRESOLVED, whatever their bounds.
 
     `tol` is how close an eigenvalue must come to 1 or -1 to count as one.
     The default is a rounding bound, 64 * n * eps (2.8e-11 at n = 2000).
@@ -253,7 +222,8 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     deflate(v)
     deflate(v)
     v /= np.linalg.norm(v)
-    limit = min(n - units.size, max(1, _BASIS_BYTES // (8 * n)))
+    space = n - units.size  # the dimension left once the unit vectors are deflated
+    limit = min(space, max(1, _BASIS_BYTES // (8 * n)))
     # the basis, one vector a row, in blocks of at least 2 MB that double in
     # size: few blocks keep the per-step products few on small inputs
     blocks: list[np.ndarray] = []
@@ -282,44 +252,43 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
         if beta <= tol or k == limit or k == check:
             tridiagonal = np.zeros((k, k))
             tridiagonal.flat[::k + 1] = alphas
-            tridiagonal.flat[k::k + 1] = betas  # eigvalsh reads the lower triangle
-            theta = np.linalg.eigvalsh(tridiagonal)
-            # Ritz vectors in the basis, and beta |their last entry|, which
-            # estimates their residuals: the largest one not within tol of
-            # 1 (and each one above it), then the smallest
+            tridiagonal.flat[k::k + 1] = betas  # eigh reads the lower triangle
+            theta, s = np.linalg.eigh(tridiagonal)
+            # beta |last entry| of each Ritz vector estimates its residual;
+            # top is the largest Ritz value not within tol of 1
+            residual = beta * np.abs(s[-1])
             top = k - 1
-            s_top = _eigenvector(alphas, betas, theta[top])
-            while top > 0 and theta[top] - beta * abs(s_top[-1]) >= 1.0 - tol:
+            while top > 0 and theta[top] - residual[top] >= 1.0 - tol:
                 top -= 1
-                s_top = _eigenvector(alphas, betas, theta[top])
-            stop = beta <= tol or k == limit
-            if stop or beta * abs(s_top[-1]) <= tol:
-                s_min = _eigenvector(alphas, betas, theta[0])
-                if stop or beta * abs(s_min[-1]) <= tol:
-                    break
+            # the Krylov space is invariant, or both extremes have converged
+            settled = beta <= tol or k == space or max(residual[top], residual[0]) <= tol
+            if settled or k == limit:
+                break
             check = k + k // 4
         betas.append(beta)
         v = w / beta
 
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
     edges = np.cumsum([0] + [len(part) for part in basis])
-    ritz = sum(np.stack([s_top[a:b], s_min[a:b]]) @ part
-               for a, b, part in zip(edges, edges[1:], basis))
+    ritz = sum(s[a:b, [top, 0]].T @ part for a, b, part in zip(edges, edges[1:], basis))
     lambda_2, lambda_min = float(theta[top]), float(theta[0])
     bound_2, bound_min = (float(np.linalg.norm(apply(y) - value * y) / np.linalg.norm(y))
                           for y, value in zip(ritz, (lambda_2, lambda_min)))
-    if lambda_min + bound_min <= -1.0 + tol:
-        minus_one: bool | str = True
-    elif lambda_min - bound_min > -1.0 + tol:
-        minus_one = False
-    else:
-        minus_one = UNRESOLVED
     ones = np.sort(np.concatenate([units, theta[top + 1:]]))
+    multiplicity: int | str = UNRESOLVED
+    minus_one: bool | str = UNRESOLVED
+    if settled:  # else the budget ended the run, and the extremes may lie beyond the Ritz values
+        if lambda_2 + bound_2 < 1.0 - tol:
+            multiplicity = ones.size
+        if lambda_min + bound_min <= -1.0 + tol:
+            minus_one = True
+        elif lambda_min - bound_min > -1.0 + tol:
+            minus_one = False
     eigenvalues = np.concatenate([[lambda_min, lambda_2], ones])
     eigenvalues.flags.writeable = False
     return SpectralReport(
         eigenvalues=eigenvalues,
-        multiplicity_one=ones.size if lambda_2 + bound_2 < 1.0 - tol else UNRESOLVED,
+        multiplicity_one=multiplicity,
         has_minus_one=minus_one,
         spectral_gap=1.0 - max(abs(lambda_2), abs(lambda_min)),
         lambda_2_bound=bound_2,

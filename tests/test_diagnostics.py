@@ -67,14 +67,14 @@ class TestSpectral:
         report = spectral_diagnostics(derive(triangle()))
         assert np.allclose(report.eigenvalues, [-0.5, -0.5, 1.0], atol=1e-12)
         assert report.multiplicity_one == 1
-        assert not report.has_minus_one
+        assert report.has_minus_one is False
         assert report.spectral_gap == pytest.approx(0.5, abs=1e-12)
 
     def test_team_tournament_spectrum(self):
         # lambda_min, lambda_2 and the unit eigenvalue; 0 is a double eigenvalue
         report = spectral_diagnostics(derive(team_2v2()))
         assert np.allclose(report.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-12)
-        assert report.has_minus_one
+        assert report.has_minus_one is True
         assert report.spectral_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_disconnected_doubles_eigenvalue_one(self):
@@ -190,7 +190,7 @@ class TestDiagnose:
         assert structure.connected
         assert structure.bipartite
         assert structure.coloring == ((0, 1), (2, 3))
-        assert spectral_diagnostics(d).has_minus_one
+        assert spectral_diagnostics(d).has_minus_one is True
         assert lopsided_pairs(t) == ((0, 2), (1, 3))
 
     def test_invariant_under_relabeling(self):

@@ -256,6 +256,20 @@ def test_spectral_gap_matches_arpack_at_n_5000():
     assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + 1e-10
 
 
+def test_a_run_the_budget_ends_never_reads_resolved(monkeypatch):
+    # two Lanczos vectors put lambda_2 at 0.293 +- 0.193, well clear of 1, yet
+    # the true lambda_2 lies beyond that bound: a Ritz bound shows that some
+    # eigenvalue lies near the Ritz value, not that it is the extreme one
+    t = random_schedule(np.random.default_rng(3), 400, 2000)
+    monkeypatch.setattr(diagnostics, "_BASIS_BYTES", 2 * 8 * t.n)
+    report = spectral_diagnostics(derive(t))
+    assert report.lanczos_steps == 2
+    dense = dense_eigenvalues(dense_derive(t))
+    assert report.lambda_2 + report.lambda_2_bound < dense[-2]
+    assert report.lambda_min - report.lambda_min_bound > dense[0]
+    assert report.multiplicity_one == report.has_minus_one == UNRESOLVED
+
+
 def test_a_basis_cut_short_leaves_the_verdicts_unresolved(tmp_path, monkeypatch, capsys):
     # 16 Lanczos vectors put lambda_2 at 0.993 +- 0.02 and lambda_min at
     # -0.995 +- 0.02: neither bound keeps clear of 1 or -1
