@@ -12,8 +12,10 @@ The traversal walks the CSR adjacency of `derive` one BFS level at a time,
 in O(n + pairs). The spectral check needs only the extremes of the
 spectrum, lambda_2 and lambda_min, once the unit eigenvalues the BFS
 predicts are deflated; Lanczos finds them through the same CSR kernel in
-O(k * pairs + k^2 * n) time and O(k * n) memory for k steps, with k capped
-so that its basis stays under 64 MB. Only `check --spectral` runs it.
+O(k * pairs + k^2 * n) time for k steps, with k capped so that its basis
+stays under 64 MB. The basis is reserved at that cap in one array, but only
+the k rows written become resident, so memory in use is O(k * n). Only
+`check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -224,35 +226,25 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     v /= np.linalg.norm(v)
     space = n - units.size  # the dimension left once the unit vectors are deflated
     limit = min(space, max(1, _BASIS_BYTES // (8 * n)))
-    # the basis, one vector a row, in blocks of at least 2 MB that double in
-    # size: few blocks keep the per-step products few on small inputs
-    blocks: list[np.ndarray] = []
-    alphas: list[float] = []
-    betas: list[float] = []
+    # one vector a row; the rows past those written are never touched, so
+    # they take address space but no resident memory
+    basis = np.empty((limit, n))
+    alphas = np.zeros(limit)
+    betas = np.empty(limit)
     check = 8
-    while True:
-        k = len(alphas)
-        if not blocks or used == len(blocks[-1]):
-            blocks.append(np.empty((min(max(k, 2**18 // n, 1), limit - k), n)))
-            used = 0
-        blocks[-1][used] = v
-        used += 1
-        basis = [*blocks[:-1], blocks[-1][:used]]
+    for k in range(1, limit + 1):
+        basis[k - 1] = v
         w = apply(v)
-        alpha = 0.0
         for _ in range(2):
             deflate(w)
-            for part in basis:
-                h = part @ w
-                w -= h @ part
-            alpha += h[-1]
-        alphas.append(alpha)
+            h = basis[:k] @ w
+            w -= h @ basis[:k]
+            alphas[k - 1] += h[-1]
         beta = float(np.linalg.norm(w))
-        k += 1
         if beta <= tol or k == limit or k == check:
             tridiagonal = np.zeros((k, k))
-            tridiagonal.flat[::k + 1] = alphas
-            tridiagonal.flat[k::k + 1] = betas  # eigh reads the lower triangle
+            tridiagonal.flat[::k + 1] = alphas[:k]
+            tridiagonal.flat[k::k + 1] = betas[:k - 1]  # eigh reads the lower triangle
             theta, s = np.linalg.eigh(tridiagonal)
             # beta |last entry| of each Ritz vector estimates its residual;
             # top is the largest Ritz value not within tol of 1
@@ -265,12 +257,11 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
             if settled or k == limit:
                 break
             check = k + k // 4
-        betas.append(beta)
+        betas[k - 1] = beta
         v = w / beta
 
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
-    edges = np.cumsum([0] + [len(part) for part in basis])
-    ritz = sum(s[a:b, [top, 0]].T @ part for a, b, part in zip(edges, edges[1:], basis))
+    ritz = s[:, [top, 0]].T @ basis[:k]
     lambda_2, lambda_min = float(theta[top]), float(theta[0])
     bound_2, bound_min = (float(np.linalg.norm(apply(y) - value * y) / np.linalg.norm(y))
                           for y, value in zip(ritz, (lambda_2, lambda_min)))

@@ -17,6 +17,7 @@ not at all.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,15 +127,6 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.array(ratings, dtype=float), True)
 
 
-def _lines(text: str):
-    """Lines of `text` with their endings, split at newlines as a text file is."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.ndarray:
     """The n numbers of data row i (0-based), or ParseError at its first bad cell.
 
@@ -178,7 +170,9 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     Errors keep their precedence: the row count first, then the first bad
     row or cell, then the labels.
     """
-    rows = (row for row in csv.reader(_lines(text)) if any(cell.strip() for cell in row))
+    # split at "\n" alone, so a "\r" inside a quoted cell stays in it
+    rows = (row for row in csv.reader(io.StringIO(text, newline="\n"))
+            if any(cell.strip() for cell in row))
     header = [cell.strip() for cell in next(rows, [""])[1:]]
     n = len(header)
     values: list[np.ndarray] = []

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +208,25 @@ class TestSinglePass:
             assert doc["schema"] == 3
             assert SPECTRAL_KEYS <= doc["diagnostics"].keys()
             assert "eigenvalues" not in doc["diagnostics"]
+
+
+def test_commands_import_neither_numpy_ma_nor_numpy_random():
+    """numpy.ma and numpy.random add start-up time and peak RSS to every run;
+    `build_tournament`'s pair numbering and `_start_vector` avoid them."""
+    script = f"""
+import json, sys
+from recperf.cli import main
+codes = [main(["rank", {REFERENCE!r}, "--method", "both", "--format", "json"]),
+         main(["check", {REFERENCE!r}, "--spectral"])]
+loaded = [m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])]
+print(json.dumps([codes, loaded]))
+"""
+    src = str(Path(recperf.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
 
 
 class TestPerformance:

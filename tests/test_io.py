@@ -203,6 +203,14 @@ class TestCsvParsing:
         )
         assert parsed.tournament.players == ("Last, First", "B")
 
+    def test_lines_end_at_newline_alone(self):
+        # a "\r" in a quoted label stays in it and "\u2028" ends no line;
+        # CRLF rows and a blank line read as LF rows do
+        text = ',"A\rB",C\u2028D\r\n\r\n"A\rB",,1\r\nC\u2028D,0,\r\n'
+        parsed = parse_tournament(text, fmt="csv")
+        assert parsed.tournament.players == ("A\rB", "C\u2028D")
+        assert np.array_equal(parsed.tournament.score_matrix, [[0, 1], [0, 0]])
+
 
 class TestFormatSniffing:
     def test_json_detected_by_brace(self):
