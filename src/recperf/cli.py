@@ -9,7 +9,6 @@ unexpected.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from itertools import islice
@@ -26,7 +25,7 @@ from .diagnostics import (
     lopsided_pairs,
     spectral_diagnostics,
 )
-from .io import load_tournament, tournament_to_json
+from .io import json_pieces, load_tournament, tournament_to_json
 from .models import BoundaryScoreError, RatingModel, parse_model
 from .ranking import rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
@@ -72,8 +71,10 @@ def _note(msg: str) -> None:
 
 
 def _print_json(doc: dict) -> None:
-    """Print `doc` as indented JSON in batches: no whole-report string, few writes."""
-    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    """Print `doc` as JSON in batches of 4,096 pieces (few writes for any size), with a
+    line per key of the report, of `diagnostics` and of `solver` under `--method both`,
+    a line per player row, and one line for any other value, `lopsided_pairs` included."""
+    pieces = json_pieces(doc)
     while batch := "".join(islice(pieces, 4096)):
         sys.stdout.write(batch)
     print()
@@ -94,7 +95,7 @@ def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreErr
 
 def diagnostics_to_dict(
     structure: StructureReport,
-    lopsided: tuple[tuple[int, int], ...],
+    lopsided: np.ndarray,
     spectral: SpectralReport | None,
     players: Sequence[str],
 ) -> dict:
@@ -119,7 +120,7 @@ def diagnostics_to_dict(
         doc["has_minus_one"] = spectral.has_minus_one
         doc["spectral_gap"] = spectral.spectral_gap
         doc["lanczos_steps"] = spectral.lanczos_steps
-    doc["lopsided_pairs"] = _names(players, lopsided)
+    doc["lopsided_pairs"] = np.array(players, dtype=object)[lopsided].tolist()
     return doc
 
 
@@ -345,14 +346,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     sidecar = out.with_suffix(".truth.json")
-    sidecar.write_text(
-        json.dumps(
-            {"true_strengths": list(result.true_strengths), "seed": result.seed},
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    truth = {"true_strengths": list(result.true_strengths), "seed": result.seed}
+    sidecar.write_text("".join(json_pieces(truth)) + "\n", encoding="utf-8")
     _note(f"wrote {out} and {sidecar}")
     return EXIT_OK
 

@@ -288,12 +288,14 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     )
 
 
-def lopsided_pairs(t: Tournament) -> tuple[tuple[int, int], ...]:
-    """Pairs that played where one side took every point, in row-major order.
+def lopsided_pairs(t: Tournament) -> np.ndarray:
+    """Pairs that played where one side took every point: a read-only (k, 2) intp array, row-major.
 
     Such pairs fall outside the interior-score side condition of the
     convergence statement; they are a warning, never an error, because
     convergence itself needs only P1 and P2.
     """
     mask = (t.a_ij == 0) | (t.a_ji == 0)
-    return tuple(zip(t.i[mask].tolist(), t.j[mask].tolist()))
+    pairs = np.stack([t.i[mask], t.j[mask]], axis=1, dtype=np.intp)
+    pairs.flags.writeable = False
+    return pairs

@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -204,6 +204,24 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.zeros(n), False)
 
 
+def json_pieces(value, indent: str = "") -> Iterator[str]:
+    """`value` as JSON in pieces, each one `json.dumps` call (the C encoder): a line per key
+    of a dict that holds containers, a line per row of a list of dicts or of float lists,
+    and one line for any other value, label lists included."""
+    head = value[0] if isinstance(value, list) and value else None
+    if isinstance(value, dict) and any(isinstance(v, (dict, list)) for v in value.values()):
+        for k, (key, item) in enumerate(value.items()):
+            yield ("{\n" if k == 0 else ",\n") + indent + "  " + json.dumps(key) + ": "
+            yield from json_pieces(item, indent + "  ")
+        yield "\n" + indent + "}"
+    elif isinstance(head, dict) or isinstance(head, list) and all(type(x) is float for x in head):
+        for k, row in enumerate(value):
+            yield ("[\n" if k == 0 else ",\n") + indent + "  " + json.dumps(row)
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(value)
+
+
 def tournament_to_json(
     t: Tournament,
     initial_ratings: Sequence[float] | None = None,
@@ -218,5 +236,5 @@ def tournament_to_json(
             {"a": a, "b": b, "score_a": float(score)} for a, b, score in match_records
         ]
     else:
-        doc["crosstable"] = [[float(v) for v in row] for row in t.score_matrix]
-    return json.dumps(doc, indent=2) + "\n"
+        doc["crosstable"] = t.score_matrix.tolist()
+    return "".join(json_pieces(doc)) + "\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -227,6 +228,60 @@ print(json.dumps([codes, loaded]))
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+
+
+# labels that JSON must escape, or that hold the text between two label lists
+ODD_LABELS = ['say "hi"', "back\\slash", 'x"], ["y', "two\nlines", "Zo\u00eb \u68cb"]
+
+
+class TestJsonLayout:
+    """A JSON report parses to the command's report dict, one player row a line."""
+
+    @pytest.fixture
+    def odd_labels(self, tmp_path):
+        # a ring of decisive games (odd cycle: P1 and P2 hold) plus draws across it
+        n = len(ODD_LABELS)
+        matches = [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 1) % n], "score_a": 1.0}
+                   for k in range(n)]
+        matches += [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 2) % n], "score_a": 0.5}
+                    for k in range(n)]
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"players": ODD_LABELS, "matches": matches}),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["rank", "--method", "both"], ["check", "--spectral"]])
+    def test_report_parses_to_the_report_dict(self, capsys, odd_labels, argv):
+        argv = [argv[0], odd_labels, *argv[1:], "--format", "json"]
+        args = recperf.cli.build_parser().parse_args(argv)
+        report = args.func(args)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out) == report
+        assert len(report["diagnostics"]["lopsided_pairs"]) == len(ODD_LABELS)
+        rows = [line.rstrip(",") for line in out.splitlines() if line.startswith("    {")]
+        assert [json.loads(row) for row in rows] == report.get("players", [])
+        [pairs] = [line.partition(": ")[2] for line in out.splitlines()
+                   if line.startswith('    "lopsided_pairs": ')]
+        assert json.loads(pairs.rstrip(",")) == report["diagnostics"]["lopsided_pairs"]
+
+    def test_reports_are_written_in_a_few_batches(self, monkeypatch):
+        # one write per piece is one system call each when stdout is unbuffered
+        class CountingStream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        doc = {"schema": 2,
+               "players": [{"player": f"P{k}", "rating": k / 3} for k in range(10_000)],
+               "diagnostics": {"lopsided_pairs": [["P0", f"P{k}"] for k in range(10_000)]}}
+        recperf.cli._print_json(doc)
+        assert json.loads(stream.getvalue()) == doc
+        assert stream.writes <= 5
 
 
 class TestPerformance:

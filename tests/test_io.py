@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +259,14 @@ class TestRoundTrip:
         parsed = parse_tournament(text)
         assert parsed.ratings_supplied
         assert np.array_equal(parsed.initial_ratings, [2000.0, 1900.0, 1800.0])
+
+
+def test_tournament_json_has_one_record_or_row_per_line():
+    records = [("A", "B", 1.0), ("A", "C", 0.5), ("B", "C", 1.0)]
+    t = parse_tournament((FIXTURES / "reference.json").read_text()).tournament
+    for text, rows in [(tournament_to_json(t, match_records=records),
+                        [{"a": a, "b": b, "score_a": x} for a, b, x in records]),
+                       (tournament_to_json(t), t.score_matrix.tolist())]:
+        assert json.loads(text.splitlines()[1].partition(": ")[2].rstrip(",")) == ["A", "B", "C"]
+        assert [json.loads(line.rstrip(",")) for line in text.splitlines()
+                if line.startswith("    ")] == rows
