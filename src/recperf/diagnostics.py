@@ -11,11 +11,11 @@ components, and include -1 exactly for bipartite schedules.
 The traversal walks the CSR adjacency of `derive` one BFS level at a time,
 in O(n + pairs). The spectral check needs only the extremes of the
 spectrum, lambda_2 and lambda_min, once the unit eigenvalues the BFS
-predicts are deflated; Lanczos finds them through the same CSR kernel in
-O(k * pairs + k^2 * n) time for k steps, with k capped so that its basis
-stays under 64 MB. The basis is reserved at that cap in one array, but only
-the k rows written become resident, so memory in use is O(k * n). Only
-`check --spectral` runs it.
+predicts are deflated; Lanczos in the games-weighted inner product finds
+them through the same CSR kernel in O(k * pairs + k^2 * n) time for k
+steps, with k capped so that its basis stays under 64 MB. The basis is
+reserved at that cap in one array, but only the k rows written become
+resident, so memory in use is O(k * n). Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -135,13 +135,14 @@ def check_structure(d: DerivedMatrices) -> StructureReport:
     )
 
 
-def _unit_vectors(d: DerivedMatrices, apply, structure: StructureReport,
-                  root: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sqrt(m) vector z_C of each BFS component C that S fixes within `tol`.
+def _unit_vectors(d: DerivedMatrices, structure: StructureReport,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vector z_C of each BFS component C that Mbar fixes within `tol`.
 
+    z_C is constant on C and a unit vector in the shares inner product.
     Only a component that no game leaves is checked, so a wrong BFS split
-    is never deflated. For those, S z_C is S z on C, where z holds every
-    z_C side by side, so one product checks them all. Returns each
+    is never deflated. For those, Mbar z_C is Mbar z on C, where z holds
+    every z_C side by side, so one product checks them all. Returns each
     player's component, the vectors kept side by side (zero elsewhere)
     and the Rayleigh quotient of each. A player no component lists joins
     the first one, which that player's games then make fail the check.
@@ -152,12 +153,12 @@ def _unit_vectors(d: DerivedMatrices, apply, structure: StructureReport,
         label[list(members)] = k
     leaves = np.logical_or.reduceat(
         label[d.indices] != np.repeat(label, np.diff(d.indptr)), d.indptr[:-1])
-    z = root / np.sqrt(np.bincount(label, root * root, minlength=groups))[label]
-    sz = apply(z)
+    z = 1.0 / np.sqrt(np.bincount(label, d.shares, minlength=groups))[label]
+    mz = d.mbar_dot(z)
     kept = ((np.bincount(label, leaves, minlength=groups) == 0)
-            & (np.sqrt(np.bincount(label, (sz - z) ** 2, minlength=groups)) <= tol))
+            & (np.sqrt(np.bincount(label, d.shares * (mz - z) ** 2, minlength=groups)) <= tol))
     z[~kept[label]] = 0.0
-    return label, z, np.bincount(label, z * sz, minlength=groups)[kept]
+    return label, z, np.bincount(label, d.shares * z * mz, minlength=groups)[kept]
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -178,17 +179,17 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
                          structure: StructureReport | None = None) -> SpectralReport:
     """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
 
-    Mbar is similar to the symmetric S = D^-1/2 M D^-1/2, applied as
-    sqrt(m) * Mbar (v / sqrt(m)) through the CSR, so no n x n array is
-    built. The sqrt(m) vector of each BFS component of `structure`
-    (computed here when not given) is deflated once S is seen to fix it
-    within `tol`. Lanczos then runs on the rest from a fixed-seed start,
-    orthogonalized twice (CGS2) against its basis and the deflated
-    vectors. Every few steps (a geometric schedule) the k x k tridiagonal
-    is solved; the run stops when the residual estimates of the top and
-    bottom Ritz values are within `tol`, on breakdown, or when the basis
-    would pass _BASIS_BYTES. Some eigenvalue lies within the Ritz residual
-    norm of each Ritz value, so each verdict carries its bound:
+    Mbar is self-adjoint in the shares inner product sum(shares_i a_i b_i),
+    so Lanczos runs on `mbar_dot` in it and no n x n array is built. The
+    vector constant on each BFS component of `structure` (computed here
+    when not given) is deflated once Mbar is seen to fix it within `tol`.
+    Lanczos then runs on the rest from a fixed-seed start, orthogonalized
+    twice (CGS2) against its basis and the deflated vectors. Every few
+    steps (a geometric schedule) the k x k tridiagonal is solved; the run
+    stops when the residual estimates of the top and bottom Ritz values
+    are within `tol`, on breakdown, or when the basis would pass
+    _BASIS_BYTES. Some eigenvalue lies within the Ritz residual norm of
+    each Ritz value, so each verdict carries its bound:
     `multiplicity_one` counts the deflated vectors and every Ritz value
     within tol of 1 once lambda_2 plus its bound falls below 1 - tol, and
     `has_minus_one` is decided once lambda_min's bound keeps it off or
@@ -209,21 +210,19 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
         tol = 64 * n * np.finfo(float).eps
     if structure is None:
         structure = check_structure(d)
-    root = np.sqrt(d.m)
-    root /= root.max()  # as in the direct solve: clear of underflow for tiny game totals
 
-    def apply(v: np.ndarray) -> np.ndarray:  # S v
-        return root * d.mbar_dot(v / root)
+    def norm(w: np.ndarray) -> float:  # in the shares inner product
+        return float(np.sqrt(d.shares @ (w * w)))
 
-    label, z, units = _unit_vectors(d, apply, structure, root, tol)
+    label, z, units = _unit_vectors(d, structure, tol)
 
     def deflate(w: np.ndarray) -> None:
-        w -= z * np.bincount(label, z * w)[label]
+        w -= z * np.bincount(label, d.shares * z * w)[label]
 
     v = _start_vector(n)
     deflate(v)
     deflate(v)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     space = n - units.size  # the dimension left once the unit vectors are deflated
     limit = min(space, max(1, _BASIS_BYTES // (8 * n)))
     # one vector a row; the rows past those written are never touched, so
@@ -234,13 +233,13 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     check = 8
     for k in range(1, limit + 1):
         basis[k - 1] = v
-        w = apply(v)
+        w = d.mbar_dot(v)
         for _ in range(2):
             deflate(w)
-            h = basis[:k] @ w
+            h = basis[:k] @ (d.shares * w)
             w -= h @ basis[:k]
             alphas[k - 1] += h[-1]
-        beta = float(np.linalg.norm(w))
+        beta = norm(w)
         if beta <= tol or k == limit or k == check:
             tridiagonal = np.zeros((k, k))
             tridiagonal.flat[::k + 1] = alphas[:k]
@@ -263,7 +262,7 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
     ritz = s[:, [top, 0]].T @ basis[:k]
     lambda_2, lambda_min = float(theta[top]), float(theta[0])
-    bound_2, bound_min = (float(np.linalg.norm(apply(y) - value * y) / np.linalg.norm(y))
+    bound_2, bound_min = (norm(d.mbar_dot(y) - value * y) / norm(y)
                           for y, value in zip(ritz, (lambda_2, lambda_min)))
     ones = np.sort(np.concatenate([units, theta[top + 1:]]))
     multiplicity: int | str = UNRESOLVED

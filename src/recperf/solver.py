@@ -19,7 +19,8 @@ ratings. The same pinned solution is available by a direct solve, which
 only needs connectivity: multiplied through by D = diag(m), the system is
 the weighted graph Laplacian L x = D chat with L = D - M, symmetric
 positive semidefinite with the constants as its kernel, and
-Jacobi-preconditioned conjugate gradients solve it.
+Jacobi-preconditioned conjugate gradients solve it, as CG on I - Mbar in
+the games-weighted inner product.
 
 Both methods, and the one-shot performance, apply Mbar through a single
 kernel over the CSR adjacency of `derive`, so every step costs O(pairs).
@@ -139,9 +140,8 @@ def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
     into the iteration. Two passes keep the weighted sum at rounding level.
     """
     c = offsets(d, model, clamp_scores=clamp_scores)
-    shares = d.m / d.m.sum()  # not m itself: tiny game totals would lose digits
-    chat = c - shares @ c
-    chat -= shares @ chat
+    chat = c - d.shares @ c
+    chat -= d.shares @ chat
     return chat
 
 
@@ -202,52 +202,45 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
 
 
 def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
-    """Solve L y = D chat by Jacobi-preconditioned CG, with sum(m_i y_i) = 0.
+    """Solve (I - Mbar) y = chat, with shares @ y = 0, by CG in the shares inner product.
 
-    Jacobi-preconditioned CG on L is plain CG on the symmetric
-    D^-1/2 L D^-1/2 = I - D^-1/2 M D^-1/2 in u = D^1/2 y, which is how it
-    runs here: with D scaled to max 1 (which changes nothing), sqrt(m)
-    stays clear of underflow even for subnormal game totals. Its residual
-    divided by sqrt(m) is the fixed-point residual chat - (y - Mbar y),
-    so CG stops on the max norm the solve reports: at most
-    1e-13 * max(1, |chat|_inf), or a few rounding units of |y|_inf when
-    that is larger (the residual cannot be evaluated more finely). When
-    the recurred residual passes, the true one is recomputed, and CG
-    restarts from it if it does not. Starting at 0, every update lies in
-    the weighted complement of e, which a final projection restores
-    against rounding. Raises ConvergenceError after 10 n iterations, or
-    sooner if rounding leaves a direction of non-positive curvature.
+    I - Mbar is self-adjoint and semidefinite in sum(shares_i a_i b_i), so
+    this is Jacobi-preconditioned CG on L y = D chat, and its residual is
+    the fixed-point residual chat - (y - Mbar y). CG stops on the max norm
+    the solve reports: at most 1e-13 * max(1, |chat|_inf), or a few
+    rounding units of |y|_inf when that is larger (the residual cannot be
+    evaluated more finely). When the recurred residual passes, the true
+    one is recomputed, and CG restarts from it if it does not. Starting at
+    0, every update lies in the weighted complement of e, which a final
+    projection restores against rounding. Raises ConvergenceError after
+    10 n iterations, or sooner if rounding leaves a direction of
+    non-positive curvature.
     """
-    root = np.sqrt(d.m)
-    root /= root.max()
     floor = 1e-13 * max(1.0, float(np.abs(chat).max()))
-    u = np.zeros(d.n)
-    res = root * chat  # the residual at u = 0
+    y = np.zeros(d.n)
+    res = chat.copy()  # the residual at y = 0
 
     def converged() -> bool:
-        return (float(np.abs(res / root).max())
-                <= max(floor, _ROUNDING * float(np.abs(u / root).max())))
+        return float(np.abs(res).max()) <= max(floor, _ROUNDING * float(np.abs(y).max()))
 
     iterations = 0
     while not converged():
         p = res.copy()
-        rr = float(res @ res)
+        rr = float(d.shares @ (res * res))
         while not converged():
-            q = p - root * d.mbar_dot(p / root)
-            curvature = float(p @ q)
+            q = p - d.mbar_dot(p)
+            curvature = float(d.shares @ (p * q))
             if iterations == 10 * d.n or not curvature > 0:
-                raise ConvergenceError(iterations, float(np.abs(res / root).max()),
-                                       None, u / root)
+                raise ConvergenceError(iterations, float(np.abs(res).max()), None, y)
             alpha = rr / curvature
-            u += alpha * p
+            y += alpha * p
             res -= alpha * q
-            rr, rr_old = float(res @ res), rr
+            rr, rr_old = float(d.shares @ (res * res)), rr
             p *= rr / rr_old
             p += res
             iterations += 1
-        res = root * chat - (u - root * d.mbar_dot(u / root))
-    y = u / root
-    y -= (d.m / d.m.sum()) @ y
+        res = chat - (y - d.mbar_dot(y))
+    y -= d.shares @ y
     return y
 
 
@@ -270,7 +263,7 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
-    rho = float((d.m / d.m.sum()) @ r)
+    rho = float(d.shares @ r)
     x = _conjugate_gradients(d, chat) + rho
     residual = float(np.abs((x - d.mbar_dot(x)) - chat).max())
     return SolveOutcome(

@@ -142,10 +142,13 @@ class Tournament:
 
 @dataclass(frozen=True)
 class DerivedMatrices:
-    """The opponent weighting Mbar as a CSR adjacency, plus m and s.
+    """The opponent weighting Mbar as a CSR adjacency, plus m, shares and s.
 
     Attributes:
         m: games played by each player (row sums of M, all positive).
+        shares: m / sum(m), the weights of every games-weighted mean and
+            of the inner product sum(shares_i a_i b_i), in which Mbar is
+            self-adjoint. Not m itself: tiny game totals would lose digits.
         s: average score per player, row sums of A divided by m.
         indptr: length n + 1; the opponents of player i are
             indices[indptr[i]:indptr[i + 1]], in ascending order. Every
@@ -156,6 +159,7 @@ class DerivedMatrices:
     """
 
     m: np.ndarray
+    shares: np.ndarray
     s: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -215,7 +219,7 @@ def build_tournament(
 
 
 def derive(t: Tournament) -> DerivedMatrices:
-    """Build Mbar's CSR adjacency, the game counts m and the average scores s.
+    """Build Mbar's CSR adjacency, the game counts m and shares, and the average scores s.
 
     Every game count is positive and finite; `Tournament` guarantees it.
     """
@@ -240,6 +244,7 @@ def derive(t: Tournament) -> DerivedMatrices:
     weights /= np.repeat(m, np.diff(indptr))
     return DerivedMatrices(
         m=_frozen(m),
+        shares=_frozen(m / m.sum()),
         s=_frozen(s),
         indptr=_frozen(indptr, np.intp),
         indices=_frozen(indices, np.intp),

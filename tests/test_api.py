@@ -64,6 +64,8 @@ def test_report_fields_and_error_attributes():
     assert fields(recperf.SpectralReport) == [
         "eigenvalues", "multiplicity_one", "has_minus_one", "spectral_gap",
         "lambda_2_bound", "lambda_min_bound", "lanczos_steps"]
+    assert fields(recperf.DerivedMatrices) == [
+        "m", "shares", "s", "indptr", "indices", "weights"]
     assert fields(recperf.SolveOutcome) == [
         "ratings", "method", "iterations", "residual", "pinned_total", "trace"]
     err = recperf.ConvergenceError(7, 0.5, None, None)

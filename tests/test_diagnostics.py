@@ -95,7 +95,34 @@ class TestSpectral:
         assert report.lambda_min == report.eigenvalues[0]
         assert 0.0 <= report.lambda_2_bound <= 1e-12
         assert 0.0 <= report.lambda_min_bound <= 1e-12
-        assert report.lanczos_steps == 1  # the complement of sqrt(m) is one eigenspace
+        assert report.lanczos_steps == 1  # the complement of the constants is one eigenspace
+
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300, 1e-315])
+    @pytest.mark.parametrize("shape", ["crosstable", "sparse"])
+    def test_spectrum_is_invariant_to_scaling_game_totals(self, factor, shape):
+        # Mbar does not change when every game total is scaled; at 1e-315
+        # the totals are subnormal, and only the games shares keep the
+        # weighted inner product clear of underflow
+        rng = np.random.default_rng(59)
+        if shape == "crosstable":
+            a = rng.uniform(0.05, 0.95, (5, 5))
+            np.fill_diagonal(a, 0.0)
+        else:
+            n = 40
+            first = np.concatenate([np.arange(n), rng.integers(0, n, 40)])
+            second = np.concatenate([np.roll(np.arange(n), 1), rng.integers(0, n - 1, 40)])
+            second[n:] += second[n:] >= first[n:]
+            a = np.zeros((n, n))
+            np.add.at(a, (first, second), rng.uniform(0.05, 0.95, first.size))
+        names = tuple(f"P{k}" for k in range(len(a)))
+        unit = spectral_diagnostics(derive(Tournament(names, a)))
+        scaled = spectral_diagnostics(derive(Tournament(names, a * factor)))
+        assert scaled.lanczos_steps == unit.lanczos_steps
+        assert scaled.multiplicity_one == unit.multiplicity_one == 1
+        assert scaled.has_minus_one is unit.has_minus_one is False
+        assert abs(scaled.lambda_2 - unit.lambda_2) <= 1e-8
+        assert abs(scaled.lambda_min - unit.lambda_min) <= 1e-8
 
 
 class TestDoctoredStructure:

@@ -130,6 +130,14 @@ class TestDerive:
         mbar = mbar_dense(d)
         assert np.array_equal(mbar == 0, mbar.T == 0)
 
+    def test_shares_are_read_only_and_sum_to_one(self):
+        rng = np.random.default_rng(14)
+        d = derive(random_tournament(rng, require_p1p2=False))
+        assert np.array_equal(d.shares, d.m / d.m.sum())
+        assert abs(float(d.shares.sum()) - 1.0) <= d.n * np.finfo(float).eps
+        with pytest.raises(ValueError):
+            d.shares[0] = 1.0
+
     def test_total_points_equal_total_games_weight(self):
         rng = np.random.default_rng(13)
         t = random_tournament(rng, require_p1p2=False)
