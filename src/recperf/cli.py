@@ -358,10 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tournament ratings by recursive performance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input", help="tournament file (.json or .csv crosstable)")
+    source.add_argument("--format", choices=("table", "json"), default="table")
+    rated = argparse.ArgumentParser(add_help=False)
+    rated.add_argument("--model", default="elo", help="elo[:scale] | logistic:scale | gaussian:sigma")
 
-    rank = sub.add_parser("rank", help="compute recursive-performance ratings")
-    rank.add_argument("input", help="tournament file (.json or .csv crosstable)")
-    rank.add_argument("--model", default="elo", help="elo[:scale] | logistic:scale | gaussian:sigma")
+    rank = sub.add_parser("rank", parents=[source, rated],
+                          help="compute recursive-performance ratings")
     rank.add_argument("--method", choices=("direct", "iterative", "both"), default="direct")
     rank.add_argument("--tol", type=float, default=None, help="iteration stop tolerance")
     rank.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
@@ -369,26 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="rating gap treated as a tie (default 1e-6 * scale)")
     rank.add_argument("--clamp-scores", action="store_true",
                       help="clamp boundary average scores instead of failing")
-    rank.add_argument("--format", choices=("table", "json"), default="table")
     rank.set_defaults(func=cmd_rank, table=_print_rank)
 
-    check = sub.add_parser("check", help="validate assumptions P1 and P2")
-    check.add_argument("input")
+    check = sub.add_parser("check", parents=[source], help="validate assumptions P1 and P2")
     check.add_argument("--spectral", action="store_true",
                        help="add lambda_2 and lambda_min of Mbar with their error "
                        "bounds (deflated Lanczos), the spectral verdicts and the "
                        "convergence prognosis")
-    check.add_argument("--format", choices=("table", "json"), default="table")
     check.set_defaults(func=cmd_check,
                        table=lambda doc: _print_diagnostics(doc["diagnostics"]))
 
-    perf = sub.add_parser("performance",
+    perf = sub.add_parser("performance", parents=[source, rated],
                           help="one-shot performance against the initial ratings")
-    perf.add_argument("input")
-    perf.add_argument("--model", default="elo")
     perf.add_argument("--compare", action="store_true",
                       help="also show the recursive performance")
-    perf.add_argument("--format", choices=("table", "json"), default="table")
     perf.set_defaults(func=cmd_performance, table=_print_performance)
 
     sim = sub.add_parser("simulate", help="generate a synthetic tournament")

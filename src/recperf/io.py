@@ -130,8 +130,8 @@ def parse_tournament_json(text: str) -> ParsedTournament:
 def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.ndarray:
     """The n numbers of data row i (0-based), or ParseError at its first bad cell.
 
-    numpy converts a row at once, reading each cell as `float` does; only a
-    row it rejects is walked cell by cell, to word the first bad cell.
+    numpy converts the row at once, reading each cell as `float` does; a
+    row it rejects is walked only to word its first blank or non-numeric cell.
     """
     line = i + 2
     if len(row) != n + 1:
@@ -143,51 +143,49 @@ def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.nda
         return np.array(cells, dtype=float)
     except ValueError:
         pass
-    label = row[0].strip()
-    values = []
-    for j, cell in enumerate(row[1:]):
+    for j, cell in enumerate(cells):
         cell = cell.strip()
-        if cell == "":
-            if i != j:
-                raise ParseError(
-                    f"line {line}, column {j + 2}: empty cell off the diagonal"
-                )
-            values.append(0.0)
-            continue
+        if not cell:
+            raise ParseError(f"line {line}, column {j + 2}: empty cell off the diagonal")
         try:
-            values.append(float(cell))
+            float(cell)
         except ValueError:
             raise ParseError(
-                f"line {line}, column {j + 2} ({label} vs {header[j]}): "
+                f"line {line}, column {j + 2} ({row[0].strip()} vs {header[j]}): "
                 f"non-numeric cell {cell!r}"
             ) from None
-    return np.array(values)
+    return np.array(cells, dtype=float)
 
 
 def parse_tournament_csv(text: str) -> ParsedTournament:
     """Parse a CSV crosstable, converting each row to numbers as it is read.
 
-    Errors keep their precedence: the row count first, then the first bad
-    row or cell, then the labels.
+    Errors keep their precedence: a cell too long for the csv module first
+    (reading stops there), then the row count, then the first bad row or
+    cell, then the labels.
     """
     # split at "\n" alone, so a "\r" inside a quoted cell stays in it
-    rows = (row for row in csv.reader(io.StringIO(text, newline="\n"))
-            if any(cell.strip() for cell in row))
-    header = [cell.strip() for cell in next(rows, [""])[1:]]
-    n = len(header)
+    reader = csv.reader(io.StringIO(text, newline="\n"))
+    rows = (row for row in reader if any(cell.strip() for cell in row))
     values: list[np.ndarray] = []
     labels = []
     first_error = None
     count = 0
-    for i, row in enumerate(rows):
-        count += 1
-        if i >= n or first_error is not None:
-            continue
-        try:
-            values.append(_crosstable_row(row, i, n, header))
-        except ParseError as exc:
-            first_error = exc
-        labels.append(row[0].strip())
+    try:
+        header = [cell.strip() for cell in next(rows, [""])[1:]]
+        n = len(header)
+        for i, row in enumerate(rows):
+            count += 1
+            if i >= n or first_error is not None:
+                continue
+            try:
+                values.append(_crosstable_row(row, i, n, header))
+            except ParseError as exc:
+                first_error = exc
+            labels.append(row[0].strip())
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    del reader  # its StringIO holds a copy of the text, 4 bytes a character
     if count < 2:
         raise ParseError("CSV crosstable needs a header row and at least 2 player rows")
     if count != n:

@@ -46,9 +46,9 @@ class ConvergenceError(RuntimeError):
 
     For the fixed-point iteration the message names the cause that the
     BFS verdict `structure` shows: a split schedule, a bipartite one (the
-    iteration oscillates), or else slow mixing. With `structure` None the
-    failing solver is the direct solve (conjugate gradients) and
-    `step_norm` is its last residual.
+    iteration oscillates), or else a cap below the steps the iteration
+    needs. With `structure` None the failing solver is the direct solve
+    (conjugate gradients) and `step_norm` is its last residual.
     """
 
     def __init__(self, iterations: int, step_norm: float,
@@ -69,7 +69,8 @@ class ConvergenceError(RuntimeError):
             cause = ("is bipartite (spectral gap zero), so the iteration "
                      "oscillates; use --method direct")
         else:
-            cause = ("has an odd cycle (spectral gap positive) but mixes slowly; "
+            cause = ("has an odd cycle (spectral gap positive), so the iteration "
+                     f"converges, but not within {iterations} steps; "
                      "raise --max-iter or use --method direct")
         super().__init__(
             f"no convergence after {iterations} iterations "

@@ -377,6 +377,17 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "exactly one" in err
 
+    def test_zero_schedule_count_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys,
+            "simulate", "--players", "3", "--spread", "100",
+            "--schedule", "random:0", "--out", str(out_path),
+        )
+        assert code == EXIT_PARSE
+        assert err == "simulate: schedule count must be positive, got 0\n"
+        assert out == "" and not out_path.exists()
+
     def test_explicit_strengths(self, capsys, tmp_path):
         out_path = tmp_path / "sim.json"
         code, _, _ = run(
@@ -460,6 +471,15 @@ class TestMalformedInput:
         code, out, err = run(capsys, command, str(tmp_path))
         assert code == EXIT_PARSE
         assert err.startswith("error: ") and str(tmp_path) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["rank", "check", "performance"])
+    def test_cell_past_the_csv_field_limit_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "long_cell.csv"
+        path.write_text(",A,B\nA,," + "1" * 200_000 + "\nB,0,\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE
+        assert err == "error: line 2: field larger than field limit (131072)\n"
         assert out == ""
 
     @pytest.mark.parametrize("command", ["rank", "check", "performance"])

@@ -94,8 +94,15 @@ class TestJsonParsing:
     MATCHES = '{"players": ["A", "B", "C"], "matches": [%s]}'
 
     @pytest.mark.parametrize("text, error, message", [
+        ("[1]", ParseError, "top-level JSON value must be an object"),
+        ('{"matches": []}', ParseError, '"players" must be a non-empty list of labels'),
+        ('{"players": [], "matches": []}', ParseError,
+         '"players" must be a non-empty list of labels'),
         ('{"players": ["A", 1], "matches": []}', ParseError,
          "player labels must be strings"),
+        (MATCHES % '{"a": "A", "b": "B", "score_a": 1}, 5', ParseError,
+         "match 2: expected an object"),
+        (MATCHES % '{"a": "A", "b": "B"}', ParseError, "match 1: missing keys ['score_a']"),
         (MATCHES % '{"a": "A", "b": "B", "score_a": "1"}', ParseError,
          "match 1: score_a must be a number"),
         (MATCHES % '{"a": "A", "b": "B", "score_a": true}', ParseError,
@@ -121,12 +128,13 @@ class TestJsonParsing:
         # every record's types are checked before any record's values
         (MATCHES % '{"a": "Z", "b": "B", "score_a": 0}, {"a": "A", "b": "B", "score_a": null}',
          ParseError, "match 2: score_a must be a number"),
-    ], ids=["label-type", "score-string", "score-bool", "row-count", "row-length",
+    ], ids=["array", "no-players", "empty-players", "label-type", "match-not-object",
+            "missing-score", "score-string", "score-bool", "row-count", "row-length",
             "duplicate-labels", "empty-label", "unknown-a", "unknown-b-first",
             "self-match-first", "first-bad-record", "negative-score", "type-after-value"])
     def test_messages(self, text, error, message):
         with pytest.raises(error) as excinfo:
-            parse_tournament(text)
+            parse_tournament(text, "json")
         assert type(excinfo.value) is error
         assert str(excinfo.value) == message
 
@@ -186,6 +194,11 @@ class TestCsvParsing:
         expected = [[0, 1.5, 2], [10, 0, 0.25], [3, 5, 0]]
         assert np.array_equal(matrix, expected)
 
+    def test_bad_cell_after_a_blank_diagonal_reports_position(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(",A,B,C\nA,,1,1\nB,0,,x\nC,0,0,\n", fmt="csv")
+        assert str(excinfo.value) == "line 3, column 4 (B vs C): non-numeric cell 'x'"
+
     def test_bad_diagonal_cell_reports_position(self):
         with pytest.raises(ParseError, match=r"^line 3, column 3 \(B vs B\): non-numeric cell 'x'$"):
             parse_tournament(",A,B\nA,,1\nB,0,x\n", fmt="csv")
@@ -222,6 +235,11 @@ class TestFormatSniffing:
     def test_csv_fallback(self):
         parsed = parse_tournament(",A,B\nA,,0.5\nB,0.5,\n")
         assert parsed.tournament.n == 2
+
+    def test_unknown_format_is_named(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(",A,B\nA,,1\nB,0,\n", "xml")
+        assert str(excinfo.value) == "unknown format 'xml'; expected 'json' or 'csv'"
 
     def test_extension_wins_on_load(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -58,6 +58,11 @@ class TestCdf:
             values = [model.cdf(float(x)) for x in grid]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_nonfinite_difference_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            elo().cdf(float("inf"))
+        assert str(excinfo.value) == "rating difference must be finite, got inf"
+
     def test_extreme_arguments_do_not_overflow(self):
         for model in ALL_MODELS:
             assert model.cdf(1e9) == pytest.approx(1.0)

@@ -40,6 +40,13 @@ class TestRankFromRatings:
         with pytest.raises(ValueError, match="finite"):
             rank_from_ratings(np.array([1.0, float("nan")]), 0.0)
 
+    @pytest.mark.parametrize("ratings, shape", [(np.zeros(0), "(0,)"),
+                                                (np.zeros((2, 2)), "(2, 2)")])
+    def test_not_a_rating_vector_rejected(self, ratings, shape):
+        with pytest.raises(ValueError) as excinfo:
+            rank_from_ratings(ratings, 0.0)
+        assert str(excinfo.value) == f"expected a non-empty rating vector, got shape {shape}"
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             rank_from_ratings(np.array([1.0, 0.0]), -1.0)

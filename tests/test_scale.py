@@ -136,14 +136,14 @@ def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
     t = chain_with_triangle(1500)
     with pytest.raises(ConvergenceError) as excinfo:
         iterate(derive(t), MODEL, max_iter=10)
-    assert "mixes slowly" in str(excinfo.value)
+    assert "converges, but not within 10 steps" in str(excinfo.value)
     assert "bipartite" not in str(excinfo.value)
     path = tmp_path / "chain.json"
     path.write_text(tournament_to_json(t))
     code = main(["rank", str(path), "--method", "iterative", "--max-iter", "1000"])
     err = capsys.readouterr().err
     assert code == EXIT_NO_CONVERGENCE
-    assert "mixes slowly" in err and "bipartite" not in err
+    assert "converges, but not within 1000 steps" in err and "bipartite" not in err
 
 
 @pytest.mark.parametrize("name, iterates", [

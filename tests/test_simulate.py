@@ -171,3 +171,12 @@ class TestConfigValidation:
     def test_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             config(seed=-1)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Schedule("random", 0), "schedule count must be positive, got 0"),
+        (lambda: config(n=1), "need at least 2 players, got 1"),
+    ], ids=["zero-games", "one-player"])
+    def test_messages(self, make, message):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        assert str(excinfo.value) == message

@@ -196,7 +196,18 @@ class TestIterate:
         assert "odd cycle" in message
         assert "spectral gap" in message
         assert "bipartite" not in message
-        assert "mixes slowly" in message and "--max-iter" in message
+        assert "converges, but not within 50 steps" in message
+        assert "--max-iter" in message and "--method direct" in message
+
+    def test_a_small_cap_is_not_blamed_on_the_schedule(self):
+        # the reference schedule contracts by 1/2 a step: it converges in 25-45
+        d = derive(reference_tournament())
+        with pytest.raises(ConvergenceError) as excinfo:
+            iterate(d, MODEL, max_iter=5)
+        message = str(excinfo.value)
+        assert "odd cycle" in message and "spectral gap positive" in message
+        assert "converges, but not within 5 steps" in message
+        assert "slow" not in message
 
     def test_split_schedule_is_blamed_on_the_split(self):
         # two triangles, one lopsided: each group's offsets push its total away
@@ -208,7 +219,7 @@ class TestIterate:
             iterate(derive(t), MODEL, max_iter=200)
         message = str(excinfo.value)
         assert "splits into 2 independent groups" in message
-        assert "bipartite" not in message and "mixes slowly" not in message
+        assert "bipartite" not in message and "odd cycle" not in message
 
     def test_trace_records_each_step(self):
         d = derive(reference_tournament())
@@ -276,6 +287,11 @@ class TestSolveDirect:
         assert out.residual <= 1e-10
         with pytest.raises(ConvergenceError):
             iterate(d, MODEL, max_iter=200)
+
+    def test_initial_ratings_must_match_the_players(self):
+        with pytest.raises(ValueError) as excinfo:
+            solve_direct(derive(reference_tournament()), MODEL, [2000.0, 1800.0])
+        assert str(excinfo.value) == "expected a rating vector of length 3, got shape (2,)"
 
     def test_disconnected_raises_with_witness(self):
         d = derive(two_pairs())

@@ -69,6 +69,11 @@ class TestTournamentInvariants:
         with pytest.raises(TournamentDataError, match="negative"):
             Tournament(("A", "B"), np.array([[0.0, -1.0], [0.0, 0.0]]))
 
+    def test_matrix_shape_must_match_the_players(self):
+        with pytest.raises(TournamentDataError) as excinfo:
+            Tournament(("A", "B"), np.zeros((3, 3)))
+        assert str(excinfo.value) == "score matrix shape (3, 3) does not match 2 players"
+
     def test_single_player_rejected(self):
         with pytest.raises(TournamentDataError, match="at least 2"):
             Tournament(("A",), np.zeros((1, 1)))
