@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .diagnostics import (
     lopsided_pairs,
     spectral_diagnostics,
 )
-from .io import json_pieces, load_tournament, tournament_to_json
+from .io import load_tournament, to_json, tournament_to_json
 from .models import BoundaryScoreError, RatingModel, parse_model
 from .ranking import rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
@@ -68,16 +67,6 @@ def _fmt_groups(groups: list[list[str]]) -> str:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _print_json(doc: dict) -> None:
-    """Print `doc` as JSON in batches of 4,096 pieces (few writes for any size), with a
-    line per key of the report, of `diagnostics` and of `solver` under `--method both`,
-    a line per player row, and one line for any other value, `lopsided_pairs` included."""
-    pieces = json_pieces(doc)
-    while batch := "".join(islice(pieces, 4096)):
-        sys.stdout.write(batch)
-    print()
 
 
 def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreError,
@@ -347,7 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     sidecar = out.with_suffix(".truth.json")
     truth = {"true_strengths": list(result.true_strengths), "seed": result.seed}
-    sidecar.write_text("".join(json_pieces(truth)) + "\n", encoding="utf-8")
+    sidecar.write_text(to_json(truth), encoding="utf-8")
     _note(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
@@ -419,7 +408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(report, int):
         return report
     if args.format == "json":
-        _print_json(report)
+        sys.stdout.write(to_json(report))
     else:
         args.table(report)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Tournament file formats: parsing, and writing a tournament back as JSON.
+"""Tournament file formats: parsing them, and writing every JSON document.
 
 Two input formats are supported:
 
@@ -127,13 +127,12 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.array(ratings, dtype=float), True)
 
 
-def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.ndarray:
-    """The n numbers of data row i (0-based), or ParseError at its first bad cell.
+def _crosstable_row(row: list[str], i: int, n: int, header: list[str], line: int) -> np.ndarray:
+    """The n numbers of row i (0-based, file line `line`), or ParseError at its first bad cell.
 
     numpy converts the row at once, reading each cell as `float` does; a
     row it rejects is walked only to word its first blank or non-numeric cell.
     """
-    line = i + 2
     if len(row) != n + 1:
         raise ParseError(f"line {line}: expected {n + 1} cells, got {len(row)}")
     cells = row[1:]
@@ -144,8 +143,7 @@ def _crosstable_row(row: list[str], i: int, n: int, header: list[str]) -> np.nda
     except ValueError:
         pass
     for j, cell in enumerate(cells):
-        cell = cell.strip()
-        if not cell:
+        if not cell.strip():
             raise ParseError(f"line {line}, column {j + 2}: empty cell off the diagonal")
         try:
             float(cell)
@@ -179,7 +177,7 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
             if i >= n or first_error is not None:
                 continue
             try:
-                values.append(_crosstable_row(row, i, n, header))
+                values.append(_crosstable_row(row, i, n, header, reader.line_num))
             except ParseError as exc:
                 first_error = exc
             labels.append(row[0].strip())
@@ -202,15 +200,13 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.zeros(n), False)
 
 
-def json_pieces(value, indent: str = "") -> Iterator[str]:
-    """`value` as JSON in pieces, each one `json.dumps` call (the C encoder): a line per key
-    of a dict that holds containers, a line per row of a list of dicts or of float lists,
-    and one line for any other value, label lists included."""
+def _json_pieces(value, indent: str = "") -> Iterator[str]:
+    """`value` as JSON in pieces, each one `json.dumps` call (the C encoder)."""
     head = value[0] if isinstance(value, list) and value else None
     if isinstance(value, dict) and any(isinstance(v, (dict, list)) for v in value.values()):
         for k, (key, item) in enumerate(value.items()):
             yield ("{\n" if k == 0 else ",\n") + indent + "  " + json.dumps(key) + ": "
-            yield from json_pieces(item, indent + "  ")
+            yield from _json_pieces(item, indent + "  ")
         yield "\n" + indent + "}"
     elif isinstance(head, dict) or isinstance(head, list) and all(type(x) is float for x in head):
         for k, row in enumerate(value):
@@ -220,19 +216,23 @@ def json_pieces(value, indent: str = "") -> Iterator[str]:
         yield json.dumps(value)
 
 
+def to_json(value) -> str:
+    """`value` as a JSON document ending in a newline: a line per key of a dict that
+    holds containers, a line per row of a list of dicts or of float lists, and one line
+    for any other value, label lists included."""
+    return "".join([*_json_pieces(value), "\n"])
+
+
 def tournament_to_json(
     t: Tournament,
-    initial_ratings: Sequence[float] | None = None,
     match_records: Sequence[tuple[str, str, float]] | None = None,
 ) -> str:
     """Serialize as JSON, preferring game records when they are available."""
     doc: dict = {"players": list(t.players)}
-    if initial_ratings is not None:
-        doc["initial_ratings"] = [float(v) for v in initial_ratings]
     if match_records is not None:
         doc["matches"] = [
             {"a": a, "b": b, "score_a": float(score)} for a, b, score in match_records
         ]
     else:
         doc["crosstable"] = t.score_matrix.tolist()
-    return "".join(json_pieces(doc)) + "\n"
+    return to_json(doc)

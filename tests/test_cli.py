@@ -266,7 +266,7 @@ class TestJsonLayout:
         assert json.loads(pairs.rstrip(",")) == report["diagnostics"]["lopsided_pairs"]
 
     def test_reports_are_written_in_a_few_batches(self, monkeypatch):
-        # one write per piece is one system call each when stdout is unbuffered
+        # one write per piece would be one system call each when stdout is unbuffered
         class CountingStream(io.StringIO):
             writes = 0
 
@@ -279,9 +279,10 @@ class TestJsonLayout:
         doc = {"schema": 2,
                "players": [{"player": f"P{k}", "rating": k / 3} for k in range(10_000)],
                "diagnostics": {"lopsided_pairs": [["P0", f"P{k}"] for k in range(10_000)]}}
-        recperf.cli._print_json(doc)
+        monkeypatch.setattr(recperf.cli, "cmd_check", lambda args: doc)
+        assert main(["check", REFERENCE, "--format", "json"]) == EXIT_OK
         assert json.loads(stream.getvalue()) == doc
-        assert stream.writes <= 5
+        assert stream.writes == 1
 
 
 class TestPerformance:
@@ -480,6 +481,15 @@ class TestMalformedInput:
         code, out, err = run(capsys, command, str(path))
         assert code == EXIT_PARSE
         assert err == "error: line 2: field larger than field limit (131072)\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["rank", "check", "performance"])
+    def test_separator_in_a_csv_cell_is_located(self, capsys, tmp_path, command):
+        path = tmp_path / "separator.csv"
+        path.write_text(",A,B\nA,,\x1c1\nB,0,\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE
+        assert err == "error: line 2, column 3 (A vs B): non-numeric cell '\\x1c1'\n"
         assert out == ""
 
     @pytest.mark.parametrize("command", ["rank", "check", "performance"])

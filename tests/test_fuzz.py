@@ -8,7 +8,8 @@ integer beyond float range; two huge scores can overflow a player's game
 total), the initial ratings may all be huge (their games-weighted total
 overflows), and one field, row or cell may be replaced by a value of the
 wrong type or size. Numpy's RuntimeWarnings are errors under pytest, so an
-overflow that only warns fails here too.
+overflow that only warns fails here too. A CSV error must name the bad
+cell as read, at its file line and column.
 """
 
 import contextlib
@@ -17,9 +18,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from recperf import ParseError, parse_tournament
 from recperf.cli import (
     EXIT_BOUNDARY,
     EXIT_DISCONNECTED,
@@ -137,6 +140,41 @@ def csv_texts(draw):
     if draw(st.integers(0, 2)) == 0:
         return draw(st.text(max_size=40))
     return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+BAD_CELLS = ["", " ", "x", "\x1c1", "1__0", "0x1p0"]  # str.strip takes "\x1c" for space; float does not
+
+
+@st.composite
+def csv_with_a_bad_cell(draw):
+    """A valid crosstable with one off-diagonal cell from BAD_CELLS and up to two
+    blank lines above its row, and the error message that must name that cell."""
+    players = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=5, unique=True))
+    n = len(players)
+    rows = [[""] + players] + [
+        [p] + ["" if i == j else str(draw(scores)) for j in range(n)]
+        for i, p in enumerate(players)
+    ]
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.sampled_from([k for k in range(n) if k != i]))
+    cell = rows[i + 1][j + 1] = draw(st.sampled_from(BAD_CELLS))
+    lines = [",".join(row) for row in rows]
+    blanks = draw(st.integers(0, 2))
+    for _ in range(blanks):
+        lines.insert(draw(st.integers(0, i + 1)), draw(st.sampled_from(["", " "])))
+    where = f"line {i + 2 + blanks}, column {j + 2}"
+    message = (f"{where}: empty cell off the diagonal" if not cell.strip() else
+               f"{where} ({players[i]} vs {players[j]}): non-numeric cell {cell!r}")
+    return "\n".join(lines) + "\n", message
+
+
+@FUZZ
+@given(csv_with_a_bad_cell())
+def test_csv_error_names_the_file_line_and_the_cell(case):
+    text, message = case
+    with pytest.raises(ParseError) as excinfo:
+        parse_tournament(text, "csv")
+    assert str(excinfo.value) == message
 
 
 def _exit_codes(text: str, suffix: str) -> list[int]:

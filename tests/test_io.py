@@ -178,6 +178,19 @@ class TestCsvParsing:
         with pytest.raises(ParseError, match=r"line 2, column 3.*'x'"):
             parse_tournament(",A,B\nA,,x\nB,0,\n", fmt="csv")
 
+    def test_bad_cell_below_a_blank_line_names_its_file_line(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(",A,B\n\nA,,x\nB,0,\n", fmt="csv")
+        assert str(excinfo.value) == "line 3, column 3 (A vs B): non-numeric cell 'x'"
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_in_a_cell_is_named_as_read(self, separator):
+        # str.strip removes U+001C-U+001F, which float and numpy reject
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(f",A,B\nA,,{separator}1\nB,0,\n", fmt="csv")
+        assert str(excinfo.value) == (
+            f"line 2, column 3 (A vs B): non-numeric cell {separator + '1'!r}")
+
     def test_wrong_cell_count(self):
         with pytest.raises(ParseError, match=r"^line 3: expected 3 cells, got 2$"):
             parse_tournament(",A,B\nA,,1\nB,0\n", fmt="csv")
@@ -270,13 +283,6 @@ class TestRoundTrip:
         text = tournament_to_json(t, match_records=records)
         back = parse_tournament(text).tournament
         assert back == t
-
-    def test_ratings_survive(self):
-        t = parse_tournament((FIXTURES / "reference.json").read_text()).tournament
-        text = tournament_to_json(t, initial_ratings=[2000.0, 1900.0, 1800.0])
-        parsed = parse_tournament(text)
-        assert parsed.ratings_supplied
-        assert np.array_equal(parsed.initial_ratings, [2000.0, 1900.0, 1800.0])
 
 
 def test_tournament_json_has_one_record_or_row_per_line():

@@ -1,6 +1,8 @@
 """The CSR core against the dense oracle of reference.py, up to n = 1000,
-and memory bounds that only an O(pairs) core can meet at n = 5000 and
-n = 20000.
+memory bounds that only an O(pairs) core can meet at n = 5000 and
+n = 20000, and the paper's contract at n = 20000 where it needs no oracle:
+agreement of the two methods, consistency, conservation, r-independence
+and anonymity.
 
 Every case must give the oracle's StructureReport and lopsided pairs
 exactly, direct ratings within 1e-9 * scale, fixed-point iteration counts
@@ -14,6 +16,7 @@ import io
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 from recperf.diagnostics import UNRESOLVED
 
 from reference import (
+    consistency_residual,
     dense_derive,
     dense_eigenvalues,
     dense_iterate,
@@ -54,8 +58,8 @@ ROUNDING = 1e-12  # the dense eigensolver's own error, on top of the Ritz bounds
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def random_schedule(rng, n: int, games: int) -> Tournament:
-    """A ring through every player plus `games` random pairings.
+def random_records(rng, n: int, games: int) -> tuple[list[str], list[tuple[str, str, float]]]:
+    """Labels and game records: a ring through every player plus `games` random pairings.
 
     Scores are interior except for about one game in six, decisive either
     way, so some pairs are lopsided.
@@ -68,9 +72,11 @@ def random_schedule(rng, n: int, games: int) -> Tournament:
     score = rng.uniform(0.05, 0.95, first.size)
     decisive = rng.random(first.size) < 1 / 6
     score[decisive] = rng.integers(0, 2, decisive.sum())
-    return build_tournament(
-        names, [(names[a], names[b], float(x)) for a, b, x in zip(first, second, score)]
-    )
+    return names, [(names[a], names[b], float(x)) for a, b, x in zip(first, second, score)]
+
+
+def random_schedule(rng, n: int, games: int) -> Tournament:
+    return build_tournament(*random_records(rng, n, games))
 
 
 def chain_with_triangle(n: int) -> Tournament:
@@ -236,6 +242,59 @@ def test_spectral_memory_stays_linear_at_n_20000():
     assert peak < 100_000_000
     assert (report.multiplicity_one, report.has_minus_one) == (1, False)
     assert max(report.lambda_2_bound, report.lambda_min_bound) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def n_20000():
+    """400k games among 20000 players, solved both ways from random initial ratings."""
+    names, records = random_records(np.random.default_rng(20001), 20_000, 380_000)
+    d = derive(build_tournament(names, records))
+    r = np.random.default_rng(20002).uniform(1000.0, 2600.0, d.n)
+    return SimpleNamespace(
+        names=names, records=records, d=d, r=r,
+        direct=solve_direct(d, MODEL, r, clamp_scores=True),
+        iterative=iterate(d, MODEL, r, clamp_scores=True),
+    )
+
+
+def test_direct_and_iterative_agree_at_n_20000(n_20000):
+    gap = np.abs(n_20000.direct.ratings - n_20000.iterative.ratings).max()
+    assert gap <= 1e-9 * MODEL.scale
+
+
+def test_direct_ratings_reproduce_themselves_at_n_20000(n_20000):
+    # CG stops at a residual of 1e-13 * |chat|_inf, under 1e-13 * scale here;
+    # the bound leaves room for rounding at |x|_inf of about 2000
+    residual = consistency_residual(n_20000.d, MODEL, n_20000.direct.ratings,
+                                    clamp_scores=True)
+    assert residual <= 1e-12 * MODEL.scale
+
+
+def test_ratings_conserve_the_total_strength_at_n_20000(n_20000):
+    d, r = n_20000.d, n_20000.r
+    for outcome in (n_20000.direct, n_20000.iterative):
+        assert abs(d.m @ outcome.ratings - d.m @ r) <= 1e-12 * (d.m @ np.abs(r))
+
+
+def test_shifting_r_shifts_the_ratings_at_n_20000(n_20000):
+    d = n_20000.d
+    shift = np.random.default_rng(20003).uniform(-500.0, 500.0, d.n)
+    moved = iterate(d, MODEL, n_20000.r + shift, clamp_scores=True).ratings
+    expected = n_20000.iterative.ratings + d.shares @ shift
+    assert np.abs(moved - expected).max() <= 1e-9 * MODEL.scale
+
+
+def test_relabelling_permutes_the_ratings_at_n_20000(n_20000):
+    # player k becomes player perm[k] under a new label; rebuilt from the
+    # records, as the dense relabelling of reference.py would take 3.2 GB
+    perm = np.random.default_rng(20004).permutation(len(n_20000.names))
+    labels = [f"Q{k}" for k in range(perm.size)]
+    rename = dict(zip(n_20000.names, (labels[k] for k in perm)))
+    t = build_tournament(labels, [(rename[a], rename[b], x) for a, b, x in n_20000.records])
+    r = np.empty_like(n_20000.r)
+    r[perm] = n_20000.r
+    moved = solve_direct(derive(t), MODEL, r, clamp_scores=True).ratings
+    assert np.abs(moved[perm] - n_20000.direct.ratings).max() <= 1e-9 * MODEL.scale
 
 
 def test_spectral_gap_matches_arpack_at_n_5000():
