@@ -17,7 +17,6 @@ not at all.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,35 +154,52 @@ def _crosstable_row(row: list[str], i: int, n: int, header: list[str], line: int
     return np.array(cells, dtype=float)
 
 
+def _lines(text: str) -> Iterator[str]:
+    r"""The lines of `text`, each keeping its "\n" (a quoted cell may span lines).
+
+    Only "\n" ends a line, so a "\r" inside a quoted cell stays in it.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_tournament_csv(text: str) -> ParsedTournament:
     """Parse a CSV crosstable, converting each row to numbers as it is read.
 
     Errors keep their precedence: a cell too long for the csv module first
     (reading stops there), then the row count, then the first bad row or
-    cell, then the labels.
+    cell, then the labels. A row's errors name the file line it starts on.
     """
-    # split at "\n" alone, so a "\r" inside a quoted cell stays in it
-    reader = csv.reader(io.StringIO(text, newline="\n"))
-    rows = (row for row in reader if any(cell.strip() for cell in row))
+    reader = csv.reader(_lines(text))
+    header: list[str] | None = None
+    n = 0
     values: list[np.ndarray] = []
     labels = []
     first_error = None
     count = 0
+    start = 1  # the file line the next row starts on
     try:
-        header = [cell.strip() for cell in next(rows, [""])[1:]]
-        n = len(header)
-        for i, row in enumerate(rows):
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not any(cell.strip() for cell in row):
+                continue
+            if header is None:
+                header = [cell.strip() for cell in row[1:]]
+                n = len(header)
+                continue
             count += 1
-            if i >= n or first_error is not None:
+            if count > n or first_error is not None:
                 continue
             try:
-                values.append(_crosstable_row(row, i, n, header, reader.line_num))
+                values.append(_crosstable_row(row, count - 1, n, header, line))
             except ParseError as exc:
                 first_error = exc
             labels.append(row[0].strip())
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    del reader  # its StringIO holds a copy of the text, 4 bytes a character
     if count < 2:
         raise ParseError("CSV crosstable needs a header row and at least 2 player rows")
     if count != n:

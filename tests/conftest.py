@@ -1,8 +1,9 @@
 """Shared generators for random tournament corpora.
 
-All generators take an explicit numpy Generator so every test pins its own
-seed; scores are drawn from (0.05, 0.95) per game, which keeps average
-scores strictly interior by construction.
+The random generators take an explicit numpy Generator so every test pins
+its own seed; scores are drawn from (0.05, 0.95) per game, which keeps
+average scores strictly interior by construction. `ladder_records` builds
+a fixed slow mixer.
 """
 
 from __future__ import annotations
@@ -86,3 +87,23 @@ def is_single_round_robin(t: Tournament) -> bool:
     games = t.score_matrix + t.score_matrix.T
     off = ~np.eye(t.n, dtype=bool)
     return bool(np.all(games[off] == 1.0))
+
+
+def ladder_records(n: int) -> tuple[list[str], list[tuple[str, str, float]]]:
+    """A slow mixer: labels and game records of an n-rung ladder.
+
+    Rungs are 50 Elo apart and each plays the two rungs above it 4 times,
+    every pair scoring its expected points rounded to a half point. The
+    spectral gap falls like 1/n^2 (about 1.3e-3 at n = 100), so the
+    fixed-point iteration runs for thousands of steps. Rung k is labelled
+    by a permutation seeded with 0, so label order hides the band.
+    """
+    where = np.random.default_rng(0).permutation(n)
+    names = [f"L{k:03d}" for k in range(n)]
+    records = []
+    for d in (1, 2):
+        expected = 1.0 / (1.0 + 10.0 ** (-d * 50.0 / 400.0))
+        score = round(8 * expected) / 8
+        for k in range(n - d):
+            records += [(names[where[k + d]], names[where[k]], score)] * 4
+    return names, records

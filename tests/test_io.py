@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,28 @@ class TestCsvParsing:
         with pytest.raises(ParseError) as excinfo:
             parse_tournament(",A,B\n\nA,,x\nB,0,\n", fmt="csv")
         assert str(excinfo.value) == "line 3, column 3 (A vs B): non-numeric cell 'x'"
+
+    def test_a_row_spanning_lines_names_the_line_it_starts_on(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(',A,B\nA,,"x\ny"\nB,0,\n', fmt="csv")
+        assert str(excinfo.value) == "line 2, column 3 (A vs B): non-numeric cell 'x\\ny'"
+
+    def test_the_text_is_read_without_a_copy(self):
+        # long cells make the text 400 times the matrix; a copy of it would
+        # take 1 to 4 bytes a character (a StringIO takes 4)
+        n = 40
+        cell = "0" * 399 + "1"
+        text = "," + ",".join(f"P{j}" for j in range(n)) + "\n" + "".join(
+            f"P{i}," + ",".join("" if i == j else cell for j in range(n)) + "\n"
+            for i in range(n))
+        tracemalloc.start()
+        try:
+            parsed = parse_tournament(text, fmt="csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tournament.score_matrix[0, 1] == 1.0
+        assert peak < len(text) / 4
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_in_a_cell_is_named_as_read(self, separator):

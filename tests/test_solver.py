@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from recperf import (
     derive,
     elo,
     iterate,
+    load_tournament,
     offsets,
     performance,
     rank_from_ratings,
     solve_direct,
 )
 
-from conftest import random_tournament
+from conftest import ladder_records, random_tournament
 from reference import (
     centering_drift,
     dense_derive,
+    dense_eigenvalues,
+    dense_iterate,
     consistency_residual,
     min_shift_distance,
     permute_tournament,
@@ -244,6 +248,61 @@ class TestIterate:
         d = derive(reference_tournament())
         with pytest.raises(ValueError, match="positive"):
             iterate(d, MODEL, tol=0.0)
+
+
+class TestBlockPath:
+    """Slow mixers past 1000 steps, where `iterate` takes blocks of 256 steps."""
+
+    def test_count_and_ratings_match_the_dense_iteration(self):
+        t = load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament
+        out = iterate(derive(t), MODEL)
+        ratings, iterations = dense_iterate(dense_derive(t), MODEL)
+        assert out.iterations == iterations == 15353
+        assert np.abs(out.ratings - ratings).max() <= 1e-9 * MODEL.scale
+
+    def test_agrees_with_direct(self):
+        d = derive(build_tournament(*ladder_records(60)))
+        # the default tol leaves an error of tol / gap, 2.5e-6 here
+        out = iterate(d, MODEL, tol=1e-13 * MODEL.scale)
+        assert out.iterations > 1000 + 256
+        assert np.abs(out.ratings - solve_direct(d, MODEL).ratings).max() <= 1e-9 * MODEL.scale
+
+    def test_a_cap_inside_a_block_ends_on_a_plain_step(self):
+        # blocks cover steps 1001-1512; the next one would pass the cap,
+        # so steps 1513-1700 are plain
+        d = derive(build_tournament(*ladder_records(60)))
+        errors = []
+        for record_trace in (False, True):
+            with pytest.raises(ConvergenceError) as excinfo:
+                iterate(d, MODEL, max_iter=1700, record_trace=record_trace)
+            errors.append(excinfo.value)
+        blocks, plain = errors
+        assert blocks.iterations == 1700
+        assert "converges, but not within 1700 steps" in str(blocks)
+        assert blocks.step_norm == pytest.approx(plain.step_norm, rel=1e-9)
+        assert np.abs(blocks.last_iterate - plain.last_iterate).max() <= 1e-9 * MODEL.scale
+
+    def test_trace_keeps_every_step_past_the_switch(self):
+        d = derive(build_tournament(*ladder_records(60)))
+        r = np.random.default_rng(57).uniform(500, 2500, d.n)
+        out = iterate(d, MODEL, r, record_trace=True)
+        assert out.iterations == iterate(d, MODEL, r).iterations > 1000 + 256
+        assert len(out.trace) == out.iterations + 1
+        sigma = float(d.m @ r)
+        assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 1e-9 * abs(sigma)
+
+    def test_huge_ratings_stop_at_the_rounding_floor(self):
+        # at |x| = 1e12 the floor 16 eps |x|_inf = 3.6e-3 is far above tol,
+        # and the iteration stops at an error of about floor / gap
+        t = build_tournament(*ladder_records(100))
+        d = derive(t)
+        r = 1e12 + np.random.default_rng(58).uniform(0, 3000, d.n)
+        out = iterate(d, MODEL, r)
+        assert out.iterations == iterate(d, MODEL, r, record_trace=True).iterations > 1000 + 256
+        gap = 1.0 - dense_eigenvalues(dense_derive(t))[-2]
+        floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
+        direct = solve_direct(d, MODEL, r).ratings
+        assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
 
 
 class TestSolveDirect:
