@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._timing import STAGES, recording, timed
 from .diagnostics import (
     UNRESOLVED,
     SpectralReport,
@@ -184,14 +185,14 @@ def _print_players(rows: list[dict]) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> dict | int:
-    parsed = load_tournament(args.input)
+    parsed = timed("parse", load_tournament, args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player "
               "(the ranking does not depend on this choice)")
     model = parse_model(args.model)
-    d = derive(t)
-    structure = check_structure(d)
+    d = timed("derive", derive, t)
+    structure = timed("structure", check_structure, d)
 
     if not structure.connected:
         return _refusal(t.players, SingularSystemError(structure.components))
@@ -204,13 +205,13 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
     try:
         outcomes: dict[str, SolveOutcome] = {}
         if args.method in ("direct", "both"):
-            outcomes["direct"] = solve_direct(
-                d, model, parsed.initial_ratings,
+            outcomes["direct"] = timed(
+                "solve", solve_direct, d, model, parsed.initial_ratings,
                 clamp_scores=args.clamp_scores, structure=structure,
             )
         if args.method in ("iterative", "both"):
-            outcomes["iterative"] = iterate(
-                d, model, parsed.initial_ratings,
+            outcomes["iterative"] = timed(
+                "solve", iterate, d, model, parsed.initial_ratings,
                 tol=args.tol, max_iter=args.max_iter,
                 clamp_scores=args.clamp_scores,
             )
@@ -266,10 +267,11 @@ def _print_rank(doc: dict) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> dict:
-    t = load_tournament(args.input).tournament
-    d = derive(t)
-    structure = check_structure(d)
-    spectral = spectral_diagnostics(d, structure=structure) if args.spectral else None
+    t = timed("parse", load_tournament, args.input).tournament
+    d = timed("derive", derive, t)
+    structure = timed("structure", check_structure, d)
+    spectral = (timed("spectral", spectral_diagnostics, d, structure=structure)
+                if args.spectral else None)
     del d  # else the CSR arrays stay alive while the report is built, the memory peak
     return {
         "schema": CHECK_SCHEMA_VERSION,
@@ -278,17 +280,18 @@ def cmd_check(args: argparse.Namespace) -> dict:
 
 
 def cmd_performance(args: argparse.Namespace) -> dict | int:
-    parsed = load_tournament(args.input)
+    parsed = timed("parse", load_tournament, args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player")
     model = parse_model(args.model)
-    d = derive(t)
+    d = timed("derive", derive, t)
     try:
-        columns = {"performance": performance(d, model, parsed.initial_ratings).tolist()}
+        columns = {"performance": timed(
+            "solve", performance, d, model, parsed.initial_ratings).tolist()}
         if args.compare:
-            columns["recursive_performance"] = solve_direct(
-                d, model, parsed.initial_ratings
+            columns["recursive_performance"] = timed(
+                "solve", solve_direct, d, model, parsed.initial_ratings
             ).ratings.tolist()
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(t.players, exc)
@@ -350,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("input", help="tournament file (.json or .csv crosstable)")
     source.add_argument("--format", choices=("table", "json"), default="table")
+    source.add_argument("--timings", action="store_true",
+                        help="print the seconds of each stage as one JSON line to stderr")
     rated = argparse.ArgumentParser(add_help=False)
     rated.add_argument("--model", default="elo", help="elo[:scale] | logistic:scale | gaussian:sigma")
 
@@ -394,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(args: argparse.Namespace) -> int:
     """Run one command; print its report as JSON or as the command's table."""
-    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ConvergenceError as exc:
@@ -412,6 +416,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         args.table(report)
     return EXIT_OK
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; with --timings, then write its stage seconds to stderr
+    (render holds the report and all time that no other stage does)."""
+    args = build_parser().parse_args(argv)
+    with recording() as seconds:
+        code = timed("render", _run, args)
+    if getattr(args, "timings", False):
+        sys.stderr.write(to_json({k: seconds[k] for k in STAGES if k in seconds}))
+    return code
 
 
 if __name__ == "__main__":

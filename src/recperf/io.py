@@ -12,18 +12,28 @@ The games matrix is never stored: it is always recomputed as A + A.T, so a
 crosstable is self-sufficient. Missing initial ratings default to zero,
 which changes the reported ratings only by a common shift and the ranking
 not at all.
+
+JSON is checked at C speed: `operator.itemgetter` reads the match records
+as three columns, and a column, a crosstable row or the initial ratings
+passes only when its set of types is the one it needs, so a bool or a str
+fails before numpy could convert it. Only a file that fails is walked, to
+name its first fault. The match objects are freed once their columns are
+read, so the parse peaks at the decoded document plus three pointer lists.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._timing import timed
 from .tournament import Tournament, build_tournament
 
 
@@ -41,8 +51,8 @@ class ParsedTournament:
 def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
     """Parse JSON or CSV crosstable text; sniffs the format when not given."""
     if fmt is None:
-        head = text.lstrip()
-        fmt = "json" if head.startswith("{") else "csv"
+        # match, not text.lstrip(): that copies the whole text after leading space
+        fmt = "json" if re.match(r"\s*\{", text) else "csv"
     if fmt == "json":
         return parse_tournament_json(text)
     if fmt == "csv":
@@ -54,6 +64,32 @@ def load_tournament(path: str | Path) -> ParsedTournament:
     path = Path(path)
     fmt = {".json": "json", ".csv": "csv"}.get(path.suffix.lower())
     return parse_tournament(path.read_text(encoding="utf-8"), fmt)
+
+
+def _floats(values: list) -> bool:
+    """Whether every value is a float; a bool, a str or None is not."""
+    return set(map(type, values)) <= {float}
+
+
+def _match_columns(matches: list) -> list[list]:
+    """The a, b and score_a columns of the game records, or ParseError at the first bad one."""
+    try:
+        a, b, score_a = [list(map(itemgetter(key), matches)) for key in ("a", "b", "score_a")]
+        if set(map(type, a)) | set(map(type, b)) <= {str} and _floats(score_a):
+            return [a, b, score_a]
+    except (TypeError, KeyError):  # an entry that is not an object, or a missing key
+        pass
+    for k, entry in enumerate(matches, start=1):
+        if not isinstance(entry, dict):
+            raise ParseError(f"match {k}: expected an object")
+        missing = {"a", "b", "score_a"} - entry.keys()
+        if missing:
+            raise ParseError(f"match {k}: missing keys {sorted(missing)}")
+        if not isinstance(entry["a"], str) or not isinstance(entry["b"], str):
+            raise ParseError(f"match {k}: players a and b must be strings")
+        if not isinstance(entry["score_a"], float):
+            raise ParseError(f"match {k}: score_a must be a number")
+    raise AssertionError("the record walk accepted records the column check rejected")
 
 
 def parse_tournament_json(text: str) -> ParsedTournament:
@@ -83,19 +119,9 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     if has_matches:
         if not isinstance(doc["matches"], list):
             raise ParseError('"matches" must be a list of game records')
-        records = []
-        for k, entry in enumerate(doc["matches"], start=1):
-            if not isinstance(entry, dict):
-                raise ParseError(f"match {k}: expected an object")
-            missing = {"a", "b", "score_a"} - entry.keys()
-            if missing:
-                raise ParseError(f"match {k}: missing keys {sorted(missing)}")
-            if not isinstance(entry["a"], str) or not isinstance(entry["b"], str):
-                raise ParseError(f"match {k}: players a and b must be strings")
-            if not isinstance(entry["score_a"], float):
-                raise ParseError(f"match {k}: score_a must be a number")
-            records.append((entry["a"], entry["b"], entry["score_a"]))
-        tournament = build_tournament(players, records)
+        # popped, so the match objects are freed once their columns are read
+        columns = _match_columns(doc.pop("matches"))
+        tournament = timed("build", build_tournament, players, zip(*columns))
     else:
         matrix = doc["crosstable"]
         n = len(players)
@@ -104,22 +130,18 @@ def parse_tournament_json(text: str) -> ParsedTournament:
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"crosstable row {i + 1} ({players[i]}): expected {n} cells")
-            for j, cell in enumerate(row):
-                if not isinstance(cell, float):
-                    raise ParseError(
-                        f"crosstable row {i + 1} ({players[i]}), column {j + 1}: "
-                        f"non-numeric cell {cell!r}"
-                    )
-        tournament = Tournament(tuple(players), np.array(matrix, dtype=float))
+            if not _floats(row):
+                j, cell = next((j, c) for j, c in enumerate(row) if not isinstance(c, float))
+                raise ParseError(
+                    f"crosstable row {i + 1} ({players[i]}), column {j + 1}: "
+                    f"non-numeric cell {cell!r}"
+                )
+        tournament = timed("build", Tournament, tuple(players), np.array(matrix, dtype=float))
 
     ratings = doc.get("initial_ratings")
     if ratings is None:
         return ParsedTournament(tournament, np.zeros(tournament.n), False)
-    if (
-        not isinstance(ratings, list)
-        or len(ratings) != tournament.n
-        or not all(isinstance(v, float) for v in ratings)
-    ):
+    if not isinstance(ratings, list) or len(ratings) != tournament.n or not _floats(ratings):
         raise ParseError(
             f'"initial_ratings" must be a list of {tournament.n} numbers'
         )
@@ -212,7 +234,7 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
         )
     matrix = np.array(values)
     del values
-    tournament = Tournament(tuple(labels), matrix)
+    tournament = timed("build", Tournament, tuple(labels), matrix)
     return ParsedTournament(tournament, np.zeros(n), False)
 
 

@@ -20,6 +20,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -189,10 +190,12 @@ def build_tournament(
     """
     players = _labels(players)
     records = list(match_records)  # read by column: zip(*records) would set off GC passes
+    if not set(map(len, records)) <= {3}:
+        _, _, _ = next(r for r in records if len(r) != 3)  # "... values to unpack"
     index = {p: k for k, p in enumerate(players)}
-    first = np.fromiter(map(index.get, (a for a, _, _ in records), repeat(-1)), np.intp)
-    second = np.fromiter(map(index.get, (b for _, b, _ in records), repeat(-1)), np.intp)
-    score = np.fromiter((s for _, _, s in records), float)
+    first, second = (np.fromiter(map(index.get, map(itemgetter(k), records), repeat(-1)),
+                                 np.intp, len(records)) for k in (0, 1))
+    score = np.fromiter(map(itemgetter(2), records), float, len(records))
     bad = np.flatnonzero((first < 0) | (second < 0) | (first == second)
                          | ~((score >= 0.0) & (score <= 1.0)))
     if bad.size:

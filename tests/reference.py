@@ -4,7 +4,8 @@ These are the oracles behind the acceptance criteria: the games-weighted
 inner product and strength summary, relabeling a tournament, the power
 limit of Mbar, the raw-vs-centered iteration gap, the consistency residual,
 the score ranking, comparison up to a constant shift, and CSV output for
-round trips. None of them is on the path of the command line, so they live
+round trips, and the per-record check of JSON game records that `io`'s
+column check must agree with. None of them is on the path of the command line, so they live
 with the tests rather than in the package.
 
 The dense oracle (`dense_derive`, `dense_solve`, `dense_iterate`,
@@ -26,6 +27,7 @@ import numpy as np
 
 from recperf import (
     DerivedMatrices,
+    ParseError,
     Ranking,
     RatingModel,
     StructureReport,
@@ -321,3 +323,24 @@ def tournament_to_csv(t: Tournament) -> str:
             cells.append("" if i == j else repr(float(a[i, j])))
         writer.writerow(cells)
     return out.getvalue()
+
+
+def match_records(matches: list) -> list[tuple[str, str, float]]:
+    """The (a, b, score_a) records of a decoded "matches" list, checked one at a time.
+
+    The loop `io` ran on every record before it checked the columns at C
+    speed; it raises ParseError naming the first bad record.
+    """
+    records = []
+    for k, entry in enumerate(matches, start=1):
+        if not isinstance(entry, dict):
+            raise ParseError(f"match {k}: expected an object")
+        missing = {"a", "b", "score_a"} - entry.keys()
+        if missing:
+            raise ParseError(f"match {k}: missing keys {sorted(missing)}")
+        if not isinstance(entry["a"], str) or not isinstance(entry["b"], str):
+            raise ParseError(f"match {k}: players a and b must be strings")
+        if not isinstance(entry["score_a"], float):
+            raise ParseError(f"match {k}: score_a must be a number")
+        records.append((entry["a"], entry["b"], entry["score_a"]))
+    return records

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import recperf.cli
-from recperf import diagnostics
+from recperf import _timing, diagnostics
 from recperf.cli import (
     EXIT_BOUNDARY,
     EXIT_DISCONNECTED,
@@ -209,6 +209,48 @@ class TestSinglePass:
             assert doc["schema"] == 3
             assert SPECTRAL_KEYS <= doc["diagnostics"].keys()
             assert "eigenvalues" not in doc["diagnostics"]
+
+
+class TestTimings:
+    """--timings adds one JSON line of stage seconds to stderr and changes nothing else."""
+
+    @pytest.mark.parametrize("argv, stages", [
+        (["rank", REFERENCE, "--method", "both"],
+         ["parse", "build", "derive", "structure", "solve", "render"]),
+        (["rank", str(FIXTURES / "reference.csv"), "--format", "json"],
+         ["parse", "build", "derive", "structure", "solve", "render"]),
+        (["check", REFERENCE], ["parse", "build", "derive", "structure", "render"]),
+        (["check", REFERENCE, "--spectral", "--format", "json"],
+         ["parse", "build", "derive", "structure", "spectral", "render"]),
+        (["performance", REFERENCE, "--compare"],
+         ["parse", "build", "derive", "solve", "render"]),
+    ])
+    def test_stages_follow_an_unchanged_report(self, capsys, argv, stages):
+        code, out, err = run(capsys, *argv)
+        timed_code, timed_out, timed_err = run(capsys, *argv, "--timings")
+        assert code == EXIT_OK
+        assert (timed_code, timed_out) == (code, out)
+        assert timed_err.startswith(err)
+        line = timed_err[len(err):]
+        assert line.endswith("\n") and line.count("\n") == 1
+        seconds = json.loads(line)
+        assert list(seconds) == stages
+        assert all(s >= 0.0 for s in seconds.values())
+
+    def test_a_nested_stage_counts_only_in_itself(self, monkeypatch):
+        clock = iter([0.0, 1.0, 3.0, 10.0, 20.0, 24.0])
+        monkeypatch.setattr(_timing, "perf_counter", clock.__next__)
+        assert _timing.timed("solve", abs, -1) == 1  # outside a record: no clock read
+        with _timing.recording() as seconds:
+            _timing.timed("parse", _timing.timed, "build", abs, -2)
+            _timing.timed("parse", abs, -3)
+        assert seconds == {"build": 2.0, "parse": 8.0 + 4.0}
+
+    def test_a_failed_command_times_what_ran(self, capsys):
+        code, out, err = run(capsys, "rank", str(FIXTURES / "disconnected.json"), "--timings")
+        assert code == EXIT_DISCONNECTED and out == ""
+        assert list(json.loads(err.splitlines()[-1])) == [
+            "parse", "build", "derive", "structure", "render"]
 
 
 def test_commands_import_neither_numpy_ma_nor_numpy_random():
