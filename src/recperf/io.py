@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._timing import timed
-from .tournament import Tournament, build_tournament
+from .tournament import Tournament, _from_columns
 
 
 class ParseError(ValueError):
@@ -121,7 +121,7 @@ def parse_tournament_json(text: str) -> ParsedTournament:
             raise ParseError('"matches" must be a list of game records')
         # popped, so the match objects are freed once their columns are read
         columns = _match_columns(doc.pop("matches"))
-        tournament = timed("build", build_tournament, players, zip(*columns))
+        tournament = timed("build", _from_columns, players, *columns)
     else:
         matrix = doc["crosstable"]
         n = len(players)

@@ -25,14 +25,17 @@ the games-weighted inner product.
 Both methods, and the one-shot performance, apply Mbar through a single
 kernel over the CSR adjacency of `derive`, so a step costs O(pairs). On a
 small schedule that mixes slowly the iteration also takes whole blocks of
-256 steps at once, by one product with the dense Mbar^256, built only once
-the plain steps taken have cost about as much as the build (`iterate`
-says when). It holds n^2 floats twice, within _BLOCK_BYTES, and keeps the
-iterates and the stop step of the plain loop up to rounding.
+256 steps, then of 16, by one product with the dense Mbar^256 or Mbar^16,
+built once the contraction the plain steps show predicts more steps than
+the build costs (`iterate` says when). It holds n^2 floats three times,
+within _BLOCK_BYTES, and keeps the iterates and the stop step of the
+plain loop up to rounding. The iteration runs on the deviation from the
+conserved games-weighted mean, so large ratings round like small ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +47,8 @@ from .tournament import DerivedMatrices
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to max(1, |chat|_inf)
 _ROUNDING = 16 * np.finfo(float).eps  # evaluation error of a step per unit of |x|_inf
-_BLOCK = 256  # steps a block takes, by 8 squarings of Mbar
-_BLOCK_BYTES = 4 * 2**20  # Mbar^256 and its scratch copy, so n <= 512
+_WINDOW = 64  # plain steps over which `iterate` measures the contraction
+_BLOCK_BYTES = 6 * 2**20  # Mbar^256, Mbar^16 and a scratch copy, so n <= 512
 
 
 class ConvergenceError(RuntimeError):
@@ -169,17 +172,24 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
             record_trace: bool = False, clamp_scores: bool = False) -> SolveOutcome:
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat.
 
-    Stops when the infinity-norm step drops below `tol` (default
-    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)), or stalls within the rounding
-    of |x|_inf, which no tol can undercut (ulp(1e10) = 1.9e-6). The caller
-    is expected to have verified P1 and P2 first; on bipartite schedules
-    the iteration oscillates and ends in ConvergenceError, worded from a
-    BFS run only on that failure.
+    Every iterate is rho e + y with rho = shares @ r, because Mbar e = e
+    and chat has games-weighted mean zero, so the loop runs on the
+    deviation y and adds rho back to the ratings, the trace and the
+    ConvergenceError iterate. It stops when the infinity-norm step drops
+    below `tol` (default DEFAULT_SOLVE_TOL * max(1, |chat|_inf)), or
+    stalls within the rounding of |y|_inf, which no tol can undercut. The
+    caller is expected to have verified P1 and P2 first; on bipartite
+    schedules the iteration oscillates and ends in ConvergenceError,
+    worded from a BFS run only on that failure.
 
-    Without a trace, a schedule whose Mbar^256 fits _BLOCK_BYTES (n <= 512)
-    goes on in blocks of 256 steps after max(1000, n^2/16) plain ones
-    (`_skip_blocks`); the plain steps still take the last block and the
-    steps after it, and so decide the stop, the count and the residual.
+    Without a trace, a schedule whose block maps fit _BLOCK_BYTES (n <= 512)
+    predicts every _WINDOW plain steps how many more it needs from the
+    contraction c over the last window: log(tol / step) / log(c), or no
+    end if c >= 1. Once both that and the steps left to max_iter reach
+    n^2/16, about what the build costs, it goes on in blocks of 256 steps,
+    then of 16 (`_skip_blocks`); the plain steps still take the last block
+    and the steps after it, and so decide the stop, the count and the
+    residual.
     """
     r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
@@ -189,20 +199,19 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    current = d.mbar_dot(r) + chat
-    trace = [current.copy()] if record_trace else None
-    step = float("inf")
-    # blocks start once the plain steps have cost about the build: n^2/16 steps
-    # (1.8x the build at n = 220, 1.4x at n = 512), 1000 at least
-    blocks_from = max(1000, d.n * d.n // 16)
-    if trace is not None or 16 * d.n * d.n > _BLOCK_BYTES or blocks_from + _BLOCK >= max_iter:
-        blocks_from = -1
+    rho = float(d.shares @ r)
+    with np.errstate(over="ignore"):
+        y = r - rho
+    if not np.isfinite(y).all():  # ratings spread past the float range
+        rho, y = 0.0, r
+    current = d.mbar_dot(y) + chat
+    trace = [current + rho] if record_trace else None
+    step = window = math.inf
+    # building the block maps costs 0.5-0.9x as much as n^2/16 plain steps for n = 220-512
+    build_cost = math.inf if trace is not None or 24 * d.n * d.n > _BLOCK_BYTES else d.n * d.n / 16
     iteration = 0
     with np.errstate(over="ignore"):  # ratings of +-1e308 overflow the step to inf
         while iteration < max_iter:
-            if iteration == blocks_from:
-                current, delta, step, iteration = _skip_blocks(
-                    d, chat, current, delta, step, iteration, max_iter, tol)
             iteration += 1
             nxt = d.mbar_dot(current)
             nxt += chat
@@ -210,65 +219,78 @@ def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None,
             last, step = step, float(np.abs(delta).max())
             current = nxt
             if trace is not None:
-                trace.append(current.copy())
-            # |x|_inf only once the step stalls: on every step it would slow small schedules
+                trace.append(current + rho)
+            # |y|_inf only once the step stalls: on every step it would slow small schedules
             if step < tol or (step >= last
                               and step <= _ROUNDING * float(np.abs(current).max())):
                 return SolveOutcome(
-                    ratings=current,
+                    ratings=current + rho,
                     method="iterative",
                     iterations=iteration,
                     residual=float(np.abs(current - (d.mbar_dot(current) + chat)).max()),
-                    pinned_total=float(d.m @ current),
+                    pinned_total=float(d.m @ (current + rho)),
                     trace=tuple(trace) if trace is not None else None,
                 )
-    raise ConvergenceError(max_iter, step, diagnostics.check_structure(d), current)
+            if iteration % _WINDOW == 0:
+                left = (_WINDOW * math.log(step / tol) / math.log(window / step)
+                        if window > step else math.inf)
+                if min(left, max_iter - iteration) >= build_cost:
+                    build_cost = math.inf
+                    xd = np.column_stack([current, delta])
+                    for p, q, k in _block_map(d, chat):
+                        xd, step, iteration = _skip_blocks(p, q, k, xd, step, iteration,
+                                                           max_iter, tol)
+                    current = xd[:, 0]
+                window = step
+    raise ConvergenceError(max_iter, step, diagnostics.check_structure(d), current + rho)
 
 
-def _block_map(d: DerivedMatrices, chat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = Mbar^K and q = sum_{j<K} Mbar^j chat for K = _BLOCK, so K steps map x to P x + q.
+def _block_map(d: DerivedMatrices,
+               chat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+    """(P, q, K) with P = Mbar^K and q = sum_{j<K} Mbar^j chat, for K = 256 and 16.
 
-    Squaring (P, q) into (P P, P q + q) doubles the steps; each product
-    is taken row by row (gemv), since a whole-matrix one (gemm) takes
-    about 1 MB more BLAS scratch memory.
+    K steps map x to P x + q. Squaring (P, q) into (P P, P q + q) doubles
+    the steps; a copy keeps Mbar^16, so three n x n arrays are live at the
+    end. Each product is taken row by row (gemv), since a whole-matrix one
+    (gemm) takes about 1 MB more BLAS scratch memory.
     """
     p = np.zeros((d.n, d.n))
     p[np.repeat(np.arange(d.n), np.diff(d.indptr)), d.indices] = d.weights
     q = chat
     scratch = np.empty_like(p)
-    for _ in range(_BLOCK.bit_length() - 1):
+    for steps in (2, 4, 8, 16, 32, 64, 128, 256):
         q = p @ q + q
         for i in range(d.n):
             np.matmul(p[i], p, out=scratch[i])
         p, scratch = scratch, p
-    return p, q
+        if steps == 16:
+            short = p.copy(), q, steps
+    return (p, q, steps), short
 
 
-def _skip_blocks(d: DerivedMatrices, chat: np.ndarray, x: np.ndarray, delta: np.ndarray,
-                 step: float, iteration: int, max_iter: int,
-                 tol: float) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Advance (x, delta, step, iteration) by blocks of K steps while none could stop.
+def _skip_blocks(p: np.ndarray, q: np.ndarray, k: int, xd: np.ndarray, step: float,
+                 iteration: int, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
+    """Advance the columns x and delta of `xd` by blocks of k steps while none could stop.
 
-    P maps the step delta_k = x_k - x_{k-1} to delta_{k+K} as it maps x.
-    Mbar is nonnegative and row-stochastic, so |delta|_inf never grows:
-    a block whose end step clears both stop tests, for every iterate in
-    it (|x_j|_inf <= |x_k|_inf + K |delta_k|_inf) and with a margin for
-    the rounding its K plain steps could add, holds no stop. The first
-    block that does not clear them is discarded, and the plain steps go
-    on from its start. Blocks also end K steps before max_iter, so the
-    step that meets a cap is a plain one.
+    p = Mbar^k maps the step delta_j = x_j - x_{j-1} to delta_{j+k} as it
+    maps x, so one product (gemm) takes both. Mbar is nonnegative and
+    row-stochastic, so |delta|_inf never grows: a block whose end step
+    clears both stop tests, for every iterate in it
+    (|x_j|_inf <= |x_i|_inf + k |delta_i|_inf) and with a margin for the
+    rounding its k plain steps could add, holds no stop. The first block
+    that does not clear them is discarded, and the next level goes on from
+    its start. Blocks also end k steps before max_iter, so the step that
+    meets a cap is a plain one.
     """
-    p, q = _block_map(d, chat)
-    while iteration + _BLOCK < max_iter:
-        x_end = p @ x
-        x_end += q
-        delta_end = p @ delta
-        step_end = float(np.abs(delta_end).max())
-        reach = float(np.abs(x).max()) + _BLOCK * step
-        if not step_end > tol + (_BLOCK + 1) * _ROUNDING * reach:
+    while iteration + k < max_iter:
+        end = p @ xd
+        end[:, 0] += q
+        step_end = float(np.abs(end[:, 1]).max())
+        reach = float(np.abs(xd[:, 0]).max()) + k * step
+        if not step_end > tol + (k + 1) * _ROUNDING * reach:
             break
-        x, delta, step, iteration = x_end, delta_end, step_end, iteration + _BLOCK
-    return x, delta, step, iteration
+        xd, step, iteration = end, step_end, iteration + k
+    return xd, step, iteration
 
 
 def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:

@@ -188,19 +188,26 @@ def build_tournament(
         TournamentDataError: on duplicate or unknown labels, a score outside
             [0, 1], a self-match, or a player left with zero games.
     """
-    players = _labels(players)
-    records = list(match_records)  # read by column: zip(*records) would set off GC passes
+    players = _labels(players)  # a bad label is named before a bad record
+    records = list(match_records)
     if not set(map(len, records)) <= {3}:
         _, _, _ = next(r for r in records if len(r) != 3)  # "... values to unpack"
+    return _from_columns(players, *(list(map(itemgetter(k), records)) for k in range(3)))
+
+
+def _from_columns(players: Sequence[str], a: list[str], b: list[str],
+                  score_a: list[float]) -> Tournament:
+    """`build_tournament` on the records' three columns, which have one length."""
+    players = _labels(players)
     index = {p: k for k, p in enumerate(players)}
-    first, second = (np.fromiter(map(index.get, map(itemgetter(k), records), repeat(-1)),
-                                 np.intp, len(records)) for k in (0, 1))
-    score = np.fromiter(map(itemgetter(2), records), float, len(records))
+    first, second = (np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
+                     for column in (a, b))
+    score = np.fromiter(score_a, float, len(score_a))
     bad = np.flatnonzero((first < 0) | (second < 0) | (first == second)
                          | ~((score >= 0.0) & (score <= 1.0)))
     if bad.size:
         k = int(bad[0])
-        pa, pb, _ = records[k]
+        pa, pb = a[k], b[k]
         why = (f"unknown player {pa!r}" if first[k] < 0
                else f"unknown player {pb!r}" if second[k] < 0
                else f"self-match for {pa!r} is not allowed" if first[k] == second[k]

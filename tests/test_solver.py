@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import recperf.solver as solver
 from recperf import (
     BoundaryScoreError,
     ConvergenceError,
@@ -250,8 +251,41 @@ class TestIterate:
             iterate(d, MODEL, tol=0.0)
 
 
+@pytest.fixture
+def block_maps(monkeypatch):
+    """The number of times `iterate` has built its block maps so far."""
+    calls = []
+    build = solver._block_map
+    monkeypatch.setattr(solver, "_block_map", lambda *args: calls.append(1) or build(*args))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def huge_ladder():
+    """The n = 100 ladder, its spectral gap and ratings near 1e12."""
+    t = build_tournament(*ladder_records(100))
+    d = derive(t)
+    gap = 1.0 - dense_eigenvalues(dense_derive(t))[-2]
+    return d, gap, 1e12 + np.random.default_rng(58).uniform(0, 3000, d.n)
+
+
+def assert_capped_on_a_plain_step(cap):
+    """The n = 60 ladder capped at `cap` fails as the plain loop does."""
+    d = derive(build_tournament(*ladder_records(60)))
+    errors = []
+    for record_trace in (False, True):
+        with pytest.raises(ConvergenceError) as excinfo:
+            iterate(d, MODEL, max_iter=cap, record_trace=record_trace)
+        errors.append(excinfo.value)
+    blocks, plain = errors
+    assert blocks.iterations == cap
+    assert f"converges, but not within {cap} steps" in str(blocks)
+    assert blocks.step_norm == pytest.approx(plain.step_norm, rel=1e-9)
+    assert np.abs(blocks.last_iterate - plain.last_iterate).max() <= 1e-9 * MODEL.scale
+
+
 class TestBlockPath:
-    """Slow mixers past 1000 steps, where `iterate` takes blocks of 256 steps."""
+    """Slow mixers, where `iterate` takes blocks of 256 steps, then of 16."""
 
     def test_count_and_ratings_match_the_dense_iteration(self):
         t = load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament
@@ -260,49 +294,132 @@ class TestBlockPath:
         assert out.iterations == iterations == 15353
         assert np.abs(out.ratings - ratings).max() <= 1e-9 * MODEL.scale
 
-    def test_agrees_with_direct(self):
+    def test_each_block_map_takes_its_steps(self):
+        d = derive(build_tournament(*ladder_records(40)))
+        chat = centered_offsets(d, MODEL)
+        x = np.random.default_rng(60).uniform(-500, 500, d.n)
+        for p, q, k in solver._block_map(d, chat):
+            plain = x
+            for _ in range(k):
+                plain = d.mbar_dot(plain) + chat
+            assert np.abs(p @ x + q - plain).max() <= 1e-9 * MODEL.scale
+        assert [k for _, _, k in solver._block_map(d, chat)] == [256, 16]
+
+    @pytest.mark.parametrize("n", [40, 60, 100])
+    def test_stops_where_the_plain_loop_stops(self, block_maps, n):
+        d = derive(build_tournament(*ladder_records(n)))
+        blocks = iterate(d, MODEL)
+        assert len(block_maps) == 1
+        plain = iterate(d, MODEL, record_trace=True)
+        assert len(block_maps) == 1
+        assert blocks.iterations == plain.iterations
+        assert np.abs(blocks.ratings - plain.ratings).max() <= 1e-9 * MODEL.scale
+
+    def test_fast_mixers_never_build_the_blocks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block maps built")
+        monkeypatch.setattr(solver, "_block_map", refuse)
+        iterate(derive(reference_tournament()), MODEL)
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            d = derive(random_tournament(rng))
+            iterate(d, MODEL, rng.uniform(0, 2000, d.n))
+
+    def test_agrees_with_direct(self, block_maps):
         d = derive(build_tournament(*ladder_records(60)))
         # the default tol leaves an error of tol / gap, 2.5e-6 here
         out = iterate(d, MODEL, tol=1e-13 * MODEL.scale)
-        assert out.iterations > 1000 + 256
+        assert len(block_maps) == 1
         assert np.abs(out.ratings - solve_direct(d, MODEL).ratings).max() <= 1e-9 * MODEL.scale
 
-    def test_a_cap_inside_a_block_ends_on_a_plain_step(self):
-        # blocks cover steps 1001-1512; the next one would pass the cap,
-        # so steps 1513-1700 are plain
-        d = derive(build_tournament(*ladder_records(60)))
-        errors = []
-        for record_trace in (False, True):
-            with pytest.raises(ConvergenceError) as excinfo:
-                iterate(d, MODEL, max_iter=1700, record_trace=record_trace)
-            errors.append(excinfo.value)
-        blocks, plain = errors
-        assert blocks.iterations == 1700
-        assert "converges, but not within 1700 steps" in str(blocks)
-        assert blocks.step_norm == pytest.approx(plain.step_norm, rel=1e-9)
-        assert np.abs(blocks.last_iterate - plain.last_iterate).max() <= 1e-9 * MODEL.scale
+    def test_a_cap_inside_a_block_ends_on_a_plain_step(self, block_maps):
+        # blocks of 256 cover steps 129-1664 and blocks of 16 steps 1665-1696;
+        # the next of each would pass the cap, so steps 1697-1700 are plain
+        assert_capped_on_a_plain_step(1700)
+        assert len(block_maps) == 1
 
-    def test_trace_keeps_every_step_past_the_switch(self):
+    def test_a_cap_inside_a_16_step_block_ends_on_a_plain_step(self, block_maps):
+        # blocks of 256 end at step 5504, where the next one would pass both the
+        # cap and the stop; blocks of 16 cover 5505-5520, so 5521-5530 are plain
+        assert_capped_on_a_plain_step(5530)
+        assert len(block_maps) == 1
+
+    def test_a_bipartite_path_still_takes_blocks(self, block_maps):
+        names = [f"P{k}" for k in range(30)]
+        records = [(names[k], names[k + 1], 0.6) for k in range(29)] * 2
+        with pytest.raises(ConvergenceError, match="is bipartite"):
+            iterate(derive(build_tournament(names, records)), MODEL, max_iter=100_000)
+        assert len(block_maps) == 1
+
+    def test_trace_keeps_every_step_past_the_switch(self, block_maps):
         d = derive(build_tournament(*ladder_records(60)))
         r = np.random.default_rng(57).uniform(500, 2500, d.n)
         out = iterate(d, MODEL, r, record_trace=True)
-        assert out.iterations == iterate(d, MODEL, r).iterations > 1000 + 256
+        assert not block_maps
+        assert out.iterations == iterate(d, MODEL, r).iterations
+        assert len(block_maps) == 1
         assert len(out.trace) == out.iterations + 1
         sigma = float(d.m @ r)
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 1e-9 * abs(sigma)
 
-    def test_huge_ratings_stop_at_the_rounding_floor(self):
-        # at |x| = 1e12 the floor 16 eps |x|_inf = 3.6e-3 is far above tol,
-        # and the iteration stops at an error of about floor / gap
-        t = build_tournament(*ladder_records(100))
-        d = derive(t)
-        r = 1e12 + np.random.default_rng(58).uniform(0, 3000, d.n)
-        out = iterate(d, MODEL, r)
-        assert out.iterations == iterate(d, MODEL, r, record_trace=True).iterations > 1000 + 256
-        gap = 1.0 - dense_eigenvalues(dense_derive(t))[-2]
-        floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
+    def test_huge_ratings_stop_at_the_rounding_floor(self, huge_ladder):
+        # tol is below the rounding of the deviation y = x - rho (the floor
+        # 16 eps |y|_inf), so the stall ends the run on both paths; they
+        # can stop a few steps apart
+        d, gap, r = huge_ladder
         direct = solve_direct(d, MODEL, r).ratings
-        assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
+        rho = float(d.shares @ r)
+        for record_trace in (False, True):
+            out = iterate(d, MODEL, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
+            assert out.iterations < 21000  # 20,751 at r = 0; the cap is 10**6
+            floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
+            assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
+
+
+class TestDeviationIterate:
+    """`iterate` runs on y = x - rho, with rho = shares @ r, and adds rho back."""
+
+    def test_huge_ratings_converge_like_small_ones(self, huge_ladder):
+        # on x itself the rounding floor 16 eps |x|_inf = 3.6e-3 stopped the
+        # run at 5,239 steps, 2.7 rating points from the direct solve
+        d, gap, r = huge_ladder
+        out = iterate(d, MODEL, r)
+        assert out.iterations == iterate(d, MODEL, r, record_trace=True).iterations == 15357
+        tol = 1e-10 * float(np.abs(centered_offsets(d, MODEL)).max())
+        rho = float(d.shares @ r)
+        error = np.abs(out.ratings - solve_direct(d, MODEL, r).ratings).max()
+        assert error <= 4 * np.spacing(rho) + 10 * tol / gap
+
+    def test_trace_keeps_the_total_of_huge_ratings(self, huge_ladder):
+        d, _, r = huge_ladder
+        sigma = float(d.m @ r)
+        out = iterate(d, MODEL, r, record_trace=True)
+        assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 4 * np.spacing(sigma)
+
+    def test_a_capped_run_keeps_the_total_of_huge_ratings(self, huge_ladder):
+        d, _, r = huge_ladder
+        sigma = float(d.m @ r)
+        for record_trace in (False, True):
+            with pytest.raises(ConvergenceError) as excinfo:
+                iterate(d, MODEL, r, max_iter=1700, record_trace=record_trace)
+            assert abs(float(d.m @ excinfo.value.last_iterate) - sigma) <= 4 * np.spacing(sigma)
+
+    def test_a_tolerance_below_the_rounding_ends_in_the_stall(self, huge_ladder):
+        d, gap, _ = huge_ladder
+        direct = solve_direct(d, MODEL).ratings
+        for record_trace in (False, True):
+            out = iterate(d, MODEL, tol=1e-300, max_iter=10**6, record_trace=record_trace)
+            assert out.iterations == 20751
+            floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
+            assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
+
+    def test_ratings_spread_past_the_float_range(self):
+        # r - rho overflows, so the iteration runs on x itself
+        a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0.03125, 0, 0]])
+        d = derive(Tournament(("A", "B", "C"), a))
+        r = np.array([1.5e308, -1.5e308, -1.5e308])
+        out = iterate(d, MODEL, r)
+        assert np.allclose(out.ratings, solve_direct(d, MODEL, r).ratings, rtol=1e-12, atol=0)
 
 
 class TestSolveDirect:
