@@ -17,8 +17,10 @@ JSON is checked at C speed: `operator.itemgetter` reads the match records
 as three columns, and a column, a crosstable row or the initial ratings
 passes only when its set of types is the one it needs, so a bool or a str
 fails before numpy could convert it. Only a file that fails is walked, to
-name its first fault. The match objects are freed once their columns are
-read, so the parse peaks at the decoded document plus three pointer lists.
+name its first fault. Each step frees its input before the next copy is
+made: `load_tournament` drops the text once it is decoded, the match objects
+go once their columns are read and the columns once the build has numbered
+them, so the decode alone sets the parse peak.
 """
 
 from __future__ import annotations
@@ -48,11 +50,14 @@ class ParsedTournament:
     ratings_supplied: bool
 
 
+def _sniff(text: str) -> str:
+    # match, not text.lstrip(): that copies the whole text after leading space
+    return "json" if re.match(r"\s*\{", text) else "csv"
+
+
 def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
     """Parse JSON or CSV crosstable text; sniffs the format when not given."""
-    if fmt is None:
-        # match, not text.lstrip(): that copies the whole text after leading space
-        fmt = "json" if re.match(r"\s*\{", text) else "csv"
+    fmt = _sniff(text) if fmt is None else fmt
     if fmt == "json":
         return parse_tournament_json(text)
     if fmt == "csv":
@@ -62,8 +67,12 @@ def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
 
 def load_tournament(path: str | Path) -> ParsedTournament:
     path = Path(path)
-    fmt = {".json": "json", ".csv": "csv"}.get(path.suffix.lower())
-    return parse_tournament(path.read_text(encoding="utf-8"), fmt)
+    text = path.read_text(encoding="utf-8")
+    if ({".json": "json", ".csv": "csv"}.get(path.suffix.lower()) or _sniff(text)) == "csv":
+        return parse_tournament_csv(text)
+    doc = _decode(text)
+    del text  # before any column is read
+    return _json_tournament(doc)
 
 
 def _floats(values: list) -> bool:
@@ -92,8 +101,8 @@ def _match_columns(matches: list) -> list[list]:
     raise AssertionError("the record walk accepted records the column check rejected")
 
 
-def parse_tournament_json(text: str) -> ParsedTournament:
-    """Parse the JSON format; every number reads as a float (an int past float range as inf)."""
+def _decode(text: str) -> dict:
+    """The JSON object in `text`, or ParseError."""
     try:
         doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
@@ -104,7 +113,16 @@ def parse_tournament_json(text: str) -> ParsedTournament:
         raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
+    return doc
 
+
+def parse_tournament_json(text: str) -> ParsedTournament:
+    """Parse the JSON format; every number reads as a float (an int past float range as inf)."""
+    return _json_tournament(_decode(text))
+
+
+def _json_tournament(doc: dict) -> ParsedTournament:
+    """The tournament of a decoded JSON document, whose matches or crosstable it pops."""
     players = doc.get("players")
     if not isinstance(players, list) or not players:
         raise ParseError('"players" must be a non-empty list of labels')
@@ -119,9 +137,8 @@ def parse_tournament_json(text: str) -> ParsedTournament:
     if has_matches:
         if not isinstance(doc["matches"], list):
             raise ParseError('"matches" must be a list of game records')
-        # popped, so the match objects are freed once their columns are read
-        columns = _match_columns(doc.pop("matches"))
-        tournament = timed("build", _from_columns, players, *columns)
+        # popped, and its columns passed in one list the build empties: each freed once read
+        tournament = timed("build", _from_columns, players, _match_columns(doc.pop("matches")))
     else:
         matrix = doc["crosstable"]
         n = len(players)
@@ -136,7 +153,9 @@ def parse_tournament_json(text: str) -> ParsedTournament:
                     f"crosstable row {i + 1} ({players[i]}), column {j + 1}: "
                     f"non-numeric cell {cell!r}"
                 )
-        tournament = timed("build", Tournament, tuple(players), np.array(matrix, dtype=float))
+        del matrix, row  # so the rows popped below are freed before the build
+        tournament = timed("build", Tournament, tuple(players),
+                           np.array(doc.pop("crosstable"), dtype=float))
 
     ratings = doc.get("initial_ratings")
     if ratings is None:
@@ -189,7 +208,7 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def parse_tournament_csv(text: str) -> ParsedTournament:
-    """Parse a CSV crosstable, converting each row to numbers as it is read.
+    """Parse a CSV crosstable, converting each row to numbers into one n x n array.
 
     Errors keep their precedence: a cell too long for the csv module first
     (reading stops there), then the row count, then the first bad row or
@@ -198,7 +217,6 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     reader = csv.reader(_lines(text))
     header: list[str] | None = None
     n = 0
-    values: list[np.ndarray] = []
     labels = []
     first_error = None
     count = 0
@@ -211,12 +229,14 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
             if header is None:
                 header = [cell.strip() for cell in row[1:]]
                 n = len(header)
+                # n rows of n + 1 cells take n * n characters: a shorter text keeps none
+                matrix = np.zeros((n if n * n <= len(text) else 0, n))
                 continue
             count += 1
             if count > n or first_error is not None:
                 continue
             try:
-                values.append(_crosstable_row(row, count - 1, n, header, line))
+                matrix[count - 1:count] = _crosstable_row(row, count - 1, n, header, line)
             except ParseError as exc:
                 first_error = exc
             labels.append(row[0].strip())
@@ -232,8 +252,6 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
         raise ParseError(
             f"row labels {labels} do not match header labels {header}"
         )
-    matrix = np.array(values)
-    del values
     tournament = timed("build", Tournament, tuple(labels), matrix)
     return ParsedTournament(tournament, np.zeros(n), False)
 

@@ -355,9 +355,10 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d)
     chat = centered_offsets(d, model, clamp_scores=clamp_scores)
-    rho = float(d.shares @ r)
-    x = _conjugate_gradients(d, chat) + rho
-    residual = float(np.abs((x - d.mbar_dot(x)) - chat).max())
+    y = _conjugate_gradients(d, chat)
+    # taken on y: x carries the rounding of rho, which large ratings make large
+    residual = float(np.abs((y - d.mbar_dot(y)) - chat).max())
+    x = y + float(d.shares @ r)
     return SolveOutcome(
         ratings=x,
         method="direct",

@@ -192,27 +192,28 @@ def build_tournament(
     records = list(match_records)
     if not set(map(len, records)) <= {3}:
         _, _, _ = next(r for r in records if len(r) != 3)  # "... values to unpack"
-    return _from_columns(players, *(list(map(itemgetter(k), records)) for k in range(3)))
+    return _from_columns(players, [list(map(itemgetter(k), records)) for k in range(3)])
 
 
-def _from_columns(players: Sequence[str], a: list[str], b: list[str],
-                  score_a: list[float]) -> Tournament:
-    """`build_tournament` on the records' three columns, which have one length."""
+def _from_columns(players: Sequence[str], columns: list[list]) -> Tournament:
+    """`build_tournament` on the records' columns [a, b, score_a], which have one length;
+    empties the list once they are checked, so a caller holding no other copy frees them."""
     players = _labels(players)
     index = {p: k for k, p in enumerate(players)}
     first, second = (np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
-                     for column in (a, b))
-    score = np.fromiter(score_a, float, len(score_a))
+                     for column in columns[:2])
+    score = np.fromiter(columns[2], float, len(columns[2]))
     bad = np.flatnonzero((first < 0) | (second < 0) | (first == second)
                          | ~((score >= 0.0) & (score <= 1.0)))
     if bad.size:
         k = int(bad[0])
-        pa, pb = a[k], b[k]
+        pa, pb = columns[0][k], columns[1][k]
         why = (f"unknown player {pa!r}" if first[k] < 0
                else f"unknown player {pb!r}" if second[k] < 0
                else f"self-match for {pa!r} is not allowed" if first[k] == second[k]
                else f"score {float(score[k])} outside [0, 1]")
         raise TournamentDataError(f"record {k + 1}: {why}")
+    columns.clear()
     swap = first > second
     lo = np.where(swap, second, first)
     hi = np.where(swap, first, second)

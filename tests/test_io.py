@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recperf.io
 from recperf import (
     ParseError,
+    Tournament,
     TournamentDataError,
     build_tournament,
     derive,
@@ -23,6 +27,24 @@ from conftest import random_tournament
 from reference import match_records, tournament_to_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _traced_at_build(monkeypatch, text: str, fmt: str | None = None) -> tuple[int, int]:
+    """Traced (current, peak) bytes when parsing `text` reaches `Tournament`; A[0, 1] is 0.5."""
+    seen = []
+
+    def build(players, matrix):
+        seen.append(tracemalloc.get_traced_memory())
+        return Tournament(players, matrix)
+
+    monkeypatch.setattr(recperf.io, "Tournament", build)
+    tracemalloc.start()
+    try:
+        parsed = parse_tournament(text, fmt)
+    finally:
+        tracemalloc.stop()
+    assert parsed.tournament.score_matrix[0, 1] == 0.5
+    return seen[0]
 
 
 class TestJsonParsing:
@@ -41,6 +63,15 @@ class TestJsonParsing:
         )
         assert parsed.ratings_supplied
         assert np.array_equal(parsed.initial_ratings, [2000.0, 1800.0])
+
+    def test_the_crosstable_lists_are_freed_before_the_build(self, monkeypatch):
+        # a decoded row of n floats takes 32 B a cell, four times its array row
+        n = 200
+        text = json.dumps({"players": [f"P{k}" for k in range(n)],
+                           "crosstable": [[0.0 if i == j else 0.5 for j in range(n)]
+                                          for i in range(n)]})
+        held, _ = _traced_at_build(monkeypatch, text)
+        assert held < 1.5 * n * n * 8
 
     def test_crosstable_route(self):
         parsed = parse_tournament(
@@ -295,6 +326,40 @@ class TestMatchRecordColumns:
         assert peak - decoded < games * sys.getsizeof(("a", "b", 0.5))
 
 
+_PEAK_KB = """
+import json, sys
+from pathlib import Path
+from recperf.io import load_tournament
+path = Path(sys.argv[1])
+{work}
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_kb(work: str, path: Path) -> int:
+    """`VmHWM` (kB) of a fresh interpreter that imports recperf.io, then runs `work`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", _PEAK_KB.format(work=work), str(path)],
+                          env=env, capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("suffix", [".json", ".txt"], ids=["json", "sniffed"])
+def test_the_decode_alone_sets_the_load_peak(tmp_path, suffix):
+    # The text is freed once decoded and the label columns once numbered, so
+    # the build's arrays reuse their memory; holding both cost 6 MB on CPython 3.11.
+    players = [f"p{k:04d}" for k in range(2000)]
+    path = tmp_path / f"games{suffix}"
+    path.write_text(json.dumps({"players": players,
+                                "matches": _game_records(40_000, players)}))
+    decoded = _peak_kb("json.loads(path.read_text(encoding='utf-8'))", path)
+    loaded = _peak_kb("assert load_tournament(path).tournament.n == 2000", path)
+    assert loaded - decoded <= 1024
+
+
 class TestCsvParsing:
     def test_reference_crosstable(self):
         parsed = load_tournament(FIXTURES / "reference.csv")
@@ -337,6 +402,16 @@ class TestCsvParsing:
         assert parsed.tournament.score_matrix[0, 1] == 1.0
         assert peak < len(text) / 4
 
+    def test_the_rows_are_read_into_one_array(self, monkeypatch):
+        # a list of row arrays stacked by np.array held two n x n arrays at once
+        n = 300
+        labels = [f"P{k}" for k in range(n)]
+        text = "," + ",".join(labels) + "\n" + "".join(
+            f"{labels[i]}," + ",".join("" if i == j else "0.5" for j in range(n)) + "\n"
+            for i in range(n))
+        _, peak = _traced_at_build(monkeypatch, text, "csv")
+        assert peak < 1.25 * n * n * 8
+
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_in_a_cell_is_named_as_read(self, separator):
         # str.strip removes U+001C-U+001F, which float and numpy reject
@@ -377,6 +452,14 @@ class TestCsvParsing:
     def test_row_count_mismatch(self):
         with pytest.raises(ParseError, match="data rows"):
             parse_tournament(",A,B,C\nA,,1,0\nB,0,,1\n", fmt="csv")
+
+    def test_a_header_longer_than_the_file_can_fill_allocates_no_matrix(self):
+        # 40000 x 40000 floats are 12.8 GB: the text is too short to hold the
+        # rows, so no matrix is allocated and the count is named, not a MemoryError
+        header = "," + ",".join(f"P{k}" for k in range(40_000))
+        with pytest.raises(ParseError) as excinfo:
+            parse_tournament(header + "\nP0,,1\nP1,0,\n", fmt="csv")
+        assert str(excinfo.value) == "header names 40000 players but there are 2 data rows"
 
     def test_quoted_labels(self):
         parsed = parse_tournament(

@@ -455,6 +455,15 @@ class TestSolveDirect:
             assert iterative.residual <= 2 * tol
             assert direct.residual <= tol
 
+    def test_residual_is_the_solves_at_large_ratings(self):
+        # x = y + rho rounds to ulp(1e12) = 1.2e-4, so the residual is taken
+        # on y, which does not depend on r
+        d = derive(load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament)
+        r = 1e12 + np.arange(d.n)
+        out, at_zero = solve_direct(d, MODEL, r), solve_direct(d, MODEL)
+        assert out.residual == at_zero.residual <= 1e-10
+        assert np.array_equal(out.ratings, at_zero.ratings + float(d.shares @ r))
+
     def test_team_tournament_still_solvable(self):
         # P2 fails but P1 holds: the linear system keeps rank n-1
         d = derive(team_2v2())
