@@ -185,12 +185,12 @@ def _print_players(rows: list[dict]) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> dict | int:
+    model = parse_model(args.model)  # before the input, so a bad model costs no parse
     parsed = timed("parse", load_tournament, args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player "
               "(the ranking does not depend on this choice)")
-    model = parse_model(args.model)
     d = timed("derive", derive, t)
     structure = timed("structure", check_structure, d)
 
@@ -280,11 +280,11 @@ def cmd_check(args: argparse.Namespace) -> dict:
 
 
 def cmd_performance(args: argparse.Namespace) -> dict | int:
+    model = parse_model(args.model)
     parsed = timed("parse", load_tournament, args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player")
-    model = parse_model(args.model)
     d = timed("derive", derive, t)
     try:
         columns = {"performance": timed(

@@ -54,13 +54,13 @@ class SpectralReport:
 
     `eigenvalues` holds the resolved extremes, ascending: lambda_min,
     lambda_2 (the largest eigenvalue apart from the unit ones), then each
-    eigenvalue found within `tol` of 1. Some eigenvalue lies within
-    `lambda_2_bound` of lambda_2 and within `lambda_min_bound` of
-    lambda_min (Ritz residual norms). `multiplicity_one` and
-    `has_minus_one` read UNRESOLVED when a bound straddles the tolerance
-    or the basis budget ended the run. UNRESOLVED is a non-empty string,
-    so compare the verdicts with `is True`, `is False` or `== 1`; never
-    test them for truth.
+    eigenvalue found within the rounding tolerance 64 * n * eps of 1. Some
+    eigenvalue lies within `lambda_2_bound` of lambda_2 and within
+    `lambda_min_bound` of lambda_min (Ritz residual norms).
+    `multiplicity_one` and `has_minus_one` read UNRESOLVED when a bound
+    straddles that tolerance or the basis budget ended the run. UNRESOLVED
+    is a non-empty string, so compare the verdicts with `is True`,
+    `is False` or `== 1`; never test them for truth.
     `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|); it drives the
     asymptotic convergence rate of the fixed-point iteration.
     `lanczos_steps` is the dimension of the Krylov space searched.
@@ -175,19 +175,20 @@ def _start_vector(n: int) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
+def spectral_diagnostics(d: DerivedMatrices, *,
                          structure: StructureReport | None = None) -> SpectralReport:
     """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
 
     Mbar is self-adjoint in the shares inner product sum(shares_i a_i b_i),
-    so Lanczos runs on `mbar_dot` in it and no n x n array is built. The
-    vector constant on each BFS component of `structure` (computed here
-    when not given) is deflated once Mbar is seen to fix it within `tol`.
+    so Lanczos runs on `mbar_dot` in it and no n x n array is built. An
+    eigenvalue counts as 1 or -1 within tol = 64 * n * eps. The vector
+    constant on each BFS component of `structure` (computed here when not
+    given) is deflated once Mbar is seen to fix it within tol.
     Lanczos then runs on the rest from a fixed-seed start, orthogonalized
     twice (CGS2) against its basis and the deflated vectors. Every few
     steps (a geometric schedule) the k x k tridiagonal is solved; the run
     stops when the residual estimates of the top and bottom Ritz values
-    are within `tol`, on breakdown, or when the basis would pass
+    are within tol, on breakdown, or when the basis would pass
     _BASIS_BYTES. Some eigenvalue lies within the Ritz residual norm of
     each Ritz value, so each verdict carries its bound:
     `multiplicity_one` counts the deflated vectors and every Ritz value
@@ -198,16 +199,14 @@ def spectral_diagnostics(d: DerivedMatrices, tol: float | None = None, *,
     beyond it: from a generic start Lanczos finds the extremes first, but
     a run the budget cuts short may not have reached them, so both
     verdicts of such a run read UNRESOLVED, whatever their bounds.
-
-    `tol` is how close an eigenvalue must come to 1 or -1 to count as one.
-    The default is a rounding bound, 64 * n * eps (2.8e-11 at n = 2000).
-    A looser bound such as 1e-9 * n took eigenvalues 3e-7 away from 1 and
-    -1 for 1 and -1 on a 2000-player chain closed by one triangle, which
-    is connected and not bipartite.
     """
     n = d.n
-    if tol is None:
-        tol = 64 * n * np.finfo(float).eps
+    # how close an eigenvalue must come to 1 or -1 to count as one: a
+    # rounding bound, 2.8e-11 at n = 2000. A looser one such as 1e-9 * n
+    # took eigenvalues 3e-7 away from 1 and -1 for 1 and -1 on a
+    # 2000-player chain closed by one triangle, which is connected and
+    # not bipartite.
+    tol = 64 * n * np.finfo(float).eps
     if structure is None:
         structure = check_structure(d)
 

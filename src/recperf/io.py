@@ -67,7 +67,7 @@ def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
 
 def load_tournament(path: str | Path) -> ParsedTournament:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     if ({".json": "json", ".csv": "csv"}.get(path.suffix.lower()) or _sniff(text)) == "csv":
         return parse_tournament_csv(text)
     doc = _decode(text)

@@ -63,8 +63,8 @@ class SimulationConfig:
                     f"{len(strengths)} strengths given for {self.n} players"
                 )
             object.__setattr__(self, "true_strengths", strengths)
-        elif self.spread <= 0:
-            raise ValueError(f"strength spread must be positive, got {self.spread}")
+        elif not 0 < self.spread < float("inf"):  # NaN fails both comparisons
+            raise ValueError(f"strength spread must be finite and positive, got {self.spread}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

@@ -145,7 +145,7 @@ def test_criterion_5_graph_vs_spectral_oracle():
     for t in instances:
         d = rp.derive(t)
         structure = rp.check_structure(d)
-        spectral = rp.spectral_diagnostics(d, tol=1e-9 * d.n)
+        spectral = rp.spectral_diagnostics(d)
         max_abs = max(max_abs, float(np.abs(spectral.eigenvalues).max()))
         if structure.connected != (spectral.multiplicity_one == 1):
             mismatches += 1

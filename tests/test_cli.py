@@ -420,6 +420,15 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("spread", ["inf", "nan"])
+    def test_spread_must_be_finite(self, capsys, tmp_path, spread):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "simulate", "--players", "4", "--spread", spread,
+                             "--out", str(out_path))
+        assert code == EXIT_PARSE
+        assert err == f"simulate: strength spread must be finite and positive, got {spread}\n"
+        assert out == "" and not out_path.exists()
+
     def test_zero_schedule_count_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "x.json"
         code, out, err = run(
@@ -563,6 +572,14 @@ class TestUsage:
     def test_version_of_model_spec_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "rank", REFERENCE, "--model", "pareto:1")
         assert code == EXIT_PARSE and "unknown model" in err
+
+    @pytest.mark.parametrize("command", ["rank", "performance"])
+    def test_the_model_is_checked_before_the_input_is_read(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code, out, err = run(capsys, command, str(bad), "--model", "pareto:1")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: unknown model 'pareto:1'") and err.count("\n") == 1
 
 
 RANK_NOTE = ("note: no initial ratings in file; using 0 for every player "

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import random
@@ -500,6 +501,15 @@ class TestFormatSniffing:
         path = tmp_path / "t.csv"
         path.write_text(",A,B\nA,,1\nB,0,\n")
         assert load_tournament(path).tournament.players == ("A", "B")
+
+    @pytest.mark.parametrize("name, source", [("t.json", "reference.json"),
+                                              ("t", "reference.json"),
+                                              ("t.csv", "reference.csv")])
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, name, source):
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + (FIXTURES / source).read_bytes())
+        expected = load_tournament(FIXTURES / source).tournament
+        assert load_tournament(path).tournament == expected
 
 
 class TestRoundTrip:
