@@ -38,7 +38,6 @@ from .solver import (
     ConvergenceError,
     SingularSystemError,
     SolveOutcome,
-    centered_offsets,
     iterate,
     offsets,
     performance,
@@ -72,7 +71,6 @@ __all__ = [
     "Tournament",
     "TournamentDataError",
     "build_tournament",
-    "centered_offsets",
     "check_structure",
     "derive",
     "elo",

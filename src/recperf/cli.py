@@ -36,6 +36,7 @@ from .solver import (
     SingularSystemError,
     SolveOutcome,
     iterate,
+    offsets,
     performance,
     solve_direct,
 )
@@ -102,14 +103,9 @@ def diagnostics_to_dict(
         else _names(players, structure.coloring),
     }
     if spectral is not None:
-        doc["lambda_2"] = spectral.lambda_2
-        doc["lambda_2_bound"] = spectral.lambda_2_bound
-        doc["lambda_min"] = spectral.lambda_min
-        doc["lambda_min_bound"] = spectral.lambda_min_bound
-        doc["multiplicity_one"] = spectral.multiplicity_one
-        doc["has_minus_one"] = spectral.has_minus_one
-        doc["spectral_gap"] = spectral.spectral_gap
-        doc["lanczos_steps"] = spectral.lanczos_steps
+        doc.update((key, getattr(spectral, key)) for key in (
+            "lambda_2", "lambda_2_bound", "lambda_min", "lambda_min_bound",
+            "multiplicity_one", "has_minus_one", "spectral_gap", "lanczos_steps"))
     doc["lopsided_pairs"] = np.array(players, dtype=object)[lopsided].tolist()
     return doc
 
@@ -203,17 +199,16 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
         return EXIT_NO_CONVERGENCE
 
     try:
+        c = timed("solve", offsets, d, model, clamp_scores=args.clamp_scores)
         outcomes: dict[str, SolveOutcome] = {}
         if args.method in ("direct", "both"):
             outcomes["direct"] = timed(
-                "solve", solve_direct, d, model, parsed.initial_ratings,
-                clamp_scores=args.clamp_scores, structure=structure,
+                "solve", solve_direct, d, c, parsed.initial_ratings, structure=structure,
             )
         if args.method in ("iterative", "both"):
             outcomes["iterative"] = timed(
-                "solve", iterate, d, model, parsed.initial_ratings,
+                "solve", iterate, d, c, parsed.initial_ratings,
                 tol=args.tol, max_iter=args.max_iter,
-                clamp_scores=args.clamp_scores,
             )
     except BoundaryScoreError as exc:
         return _refusal(t.players, exc, clamp_hint=not args.clamp_scores)
@@ -287,11 +282,12 @@ def cmd_performance(args: argparse.Namespace) -> dict | int:
         _note("note: no initial ratings in file; using 0 for every player")
     d = timed("derive", derive, t)
     try:
+        c = timed("solve", offsets, d, model)
         columns = {"performance": timed(
-            "solve", performance, d, model, parsed.initial_ratings).tolist()}
+            "solve", performance, d, c, parsed.initial_ratings).tolist()}
         if args.compare:
             columns["recursive_performance"] = timed(
-                "solve", solve_direct, d, model, parsed.initial_ratings
+                "solve", solve_direct, d, c, parsed.initial_ratings
             ).ratings.tolist()
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(t.players, exc)
@@ -307,27 +303,32 @@ def _print_performance(doc: dict) -> None:
     _print_players(doc["players"])
 
 
+def _number(kind: type, text: str, rule: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{rule}, got {text!r}") from None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.strengths is None) == (args.spread is None):
         _note("simulate: give exactly one of --strengths or --spread")
         return EXIT_PARSE
     kind, _, count_text = args.schedule.partition(":")
-    kind = kind.replace("-", "_")
     try:
-        count = int(count_text) if count_text else 1
-        schedule = Schedule(kind, count)
-        strengths = None
-        if args.strengths is not None:
-            strengths = tuple(float(v) for v in args.strengths.split(","))
-        config = SimulationConfig(
+        count = _number(int, count_text or "1", "the --schedule count must be a whole number")
+        schedule = Schedule(kind.replace("-", "_"), count)
+        strengths = None if args.strengths is None else tuple(
+            _number(float, v, "--strengths must be comma-separated numbers")
+            for v in args.strengths.split(","))
+        result = simulate_tournament(SimulationConfig(
             n=args.players,
             model=parse_model(args.model),
             schedule=schedule,
             seed=args.seed,
             true_strengths=strengths,
             spread=args.spread if args.spread is not None else 400.0,
-        )
-        result = simulate_tournament(config)
+        ))
     except ValueError as exc:
         _note(f"simulate: {exc}")
         return EXIT_PARSE

@@ -56,7 +56,8 @@ def _sniff(text: str) -> str:
 
 
 def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
-    """Parse JSON or CSV crosstable text; sniffs the format when not given."""
+    """Parse JSON or CSV text (sniffed when `fmt` is None), less one leading byte-order mark."""
+    text = text[1:] if text.startswith("\ufeff") else text  # copied only if it has the mark
     fmt = _sniff(text) if fmt is None else fmt
     if fmt == "json":
         return parse_tournament_json(text)

@@ -59,9 +59,9 @@ class SimulationConfig:
         if self.true_strengths is not None:
             strengths = tuple(float(v) for v in self.true_strengths)
             if len(strengths) != self.n:
-                raise ValueError(
-                    f"{len(strengths)} strengths given for {self.n} players"
-                )
+                raise ValueError(f"{len(strengths)} strengths given for {self.n} players")
+            if not np.isfinite(strengths).all():  # else the draw fails on the first such game
+                raise ValueError(f"true strengths must be finite, got {strengths}")
             object.__setattr__(self, "true_strengths", strengths)
         elif not 0 < self.spread < float("inf"):  # NaN fails both comparisons
             raise ValueError(f"strength spread must be finite and positive, got {self.spread}")

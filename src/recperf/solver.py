@@ -4,8 +4,9 @@ The performance of a player under a rating vector r is the unique rating at
 which their expected score against an opponent of their average opponents'
 strength equals their actual average score:
 
-    p = Mbar r + c,    c_i = quantile(s_i).
+    p = Mbar r + c,    c_i = quantile(s_i),
 
+where `offsets` alone applies the model, once per run; the solvers take c.
 Feeding performances back in as ratings gives a fixed-point iteration. Run
 with the centered offsets chat (c shifted so its games-weighted sum is
 zero) the iteration conserves total strength at every step and, for
@@ -117,13 +118,15 @@ class SolveOutcome:
     trace: tuple[np.ndarray, ...] | None = None
 
 
-def _interior_scores(d: DerivedMatrices, clamp_scores: bool) -> np.ndarray:
-    """Average scores, either validated as interior or explicitly clamped.
+def offsets(d: DerivedMatrices, model: RatingModel, *,
+            clamp_scores: bool = False) -> np.ndarray:
+    """Per-player rating offsets c_i = quantile(s_i), the one step that reads the model.
 
-    Clamping maps s_i into [eps_i, 1 - eps_i] with eps_i = 1/(2 m_i + 2).
-    It is an opt-in escape hatch for all-win/all-loss players and sits
-    outside the model the ratings are derived from. Clamped scores are
-    checked too: past about 2^52 games 1 - eps_i rounds to 1.
+    BoundaryScoreError names the first s_i not strictly inside (0, 1).
+    `clamp_scores`, an opt-in escape hatch for all-win/all-loss players
+    outside the model, first maps s_i into [eps_i, 1 - eps_i] with
+    eps_i = 1/(2 m_i + 2), then checks them too (past about 2^52 games,
+    1 - eps_i rounds to 1).
     """
     s = d.s
     if clamp_scores:
@@ -133,66 +136,57 @@ def _interior_scores(d: DerivedMatrices, clamp_scores: bool) -> np.ndarray:
     if boundary.size:
         i = int(boundary[0])
         raise BoundaryScoreError(float(s[i]), player=i)
-    return s
-
-
-def offsets(d: DerivedMatrices, model: RatingModel, *,
-            clamp_scores: bool = False) -> np.ndarray:
-    """Per-player rating offsets c_i = quantile(s_i)."""
-    s = _interior_scores(d, clamp_scores)
     return np.array([model.quantile(float(v)) for v in s])
 
 
-def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
-                     clamp_scores: bool = False) -> np.ndarray:
-    """Offsets recentered so their games-weighted sum is zero.
+def _centered(d: DerivedMatrices, c: np.ndarray) -> np.ndarray:
+    """The offsets c recentered so their games-weighted sum is zero.
 
     Centering removes the inflation/deflation the raw offsets would inject
     into the iteration. Two passes keep the weighted sum at rounding level.
     """
-    c = offsets(d, model, clamp_scores=clamp_scores)
+    c = _finite(c, d, "offsets", "offsets")
     chat = c - d.shares @ c
     chat -= d.shares @ chat
     return chat
 
 
-def performance(d: DerivedMatrices, model: RatingModel, r: np.ndarray, *,
-                clamp_scores: bool = False) -> np.ndarray:
-    """One-shot performance Mbar r + c under initial ratings r.
+def performance(d: DerivedMatrices, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One-shot performance Mbar r + c under initial ratings r and offsets c.
 
     This is the classic tournament performance number: average opponent
     rating plus an offset determined by the achieved score share.
     """
     r = _as_vector(r, d)
-    return d.mbar_dot(r) + offsets(d, model, clamp_scores=clamp_scores)
+    return d.mbar_dot(r) + _finite(c, d, "offsets", "offsets")
 
 
-def iterate(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
+def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
             tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
-            record_trace: bool = False, clamp_scores: bool = False) -> SolveOutcome:
+            record_trace: bool = False) -> SolveOutcome:
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat.
 
-    Every iterate is rho e + y with rho = shares @ r, because Mbar e = e
-    and chat has games-weighted mean zero, so the loop runs on the
-    deviation y and adds rho back to the ratings, the trace and the
-    ConvergenceError iterate. It stops when the infinity-norm step drops
-    below `tol` (default DEFAULT_SOLVE_TOL * max(1, |chat|_inf)), or
-    stalls within the rounding of |y|_inf, which no tol can undercut. The
-    caller is expected to have verified P1 and P2 first; on bipartite
-    schedules the iteration oscillates and ends in ConvergenceError,
-    worded from a BFS run only on that failure.
+    chat is c centered to games-weighted mean zero. Every iterate is
+    rho e + y with rho = shares @ r, because Mbar e = e and chat has mean
+    zero, so the loop runs on the deviation y and adds rho back to the
+    ratings, the trace and the ConvergenceError iterate. It stops when the
+    infinity-norm step drops below `tol` (default DEFAULT_SOLVE_TOL *
+    max(1, |chat|_inf)), or stalls within the rounding of |y|_inf, which no
+    tol can undercut. The caller is expected to have verified P1 and P2
+    first; on bipartite schedules the iteration oscillates and ends in
+    ConvergenceError, worded from a BFS run only on that failure.
 
     Without a trace, a schedule whose block maps fit _BLOCK_BYTES (n <= 512)
     predicts every _WINDOW plain steps how many more it needs from the
-    contraction c over the last window: log(tol / step) / log(c), or no
-    end if c >= 1. Once both that and the steps left to max_iter reach
+    contraction q over the last window: log(tol / step) / log(q), or no
+    end if q >= 1. Once both that and the steps left to max_iter reach
     n^2/16, about what the build costs, it goes on in blocks of 256 steps,
     then of 16 (`_skip_blocks`); the plain steps still take the last block
     and the steps after it, and so decide the stop, the count and the
     residual.
     """
     r = _as_vector(r, d)
-    chat = centered_offsets(d, model, clamp_scores=clamp_scores)
+    chat = _centered(d, c)
     if tol is None:
         tol = DEFAULT_SOLVE_TOL * max(1.0, float(np.abs(chat).max()))
     if not 0 < tol < np.inf:
@@ -336,25 +330,24 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = None, *,
-                 clamp_scores: bool = False,
+def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
                  structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
     """Solve (I - Mbar) x = chat pinned by strength conservation.
 
-    Conjugate gradients solve the equivalent Laplacian system L y = D chat
-    for the part y with sum(m_i y_i) = 0, and x = y + rho e with rho the
-    games-weighted mean of r bakes in the constraint
-    sum(m_i x_i) = sum(m_i r_i). Needs connectivity only; bipartite
-    schedules are fine here even though the iteration diverges on them.
-    A caller that already holds `check_structure(d)` passes it as
-    `structure` to skip a second traversal.
+    chat is c centered to games-weighted mean zero. Conjugate gradients
+    solve the equivalent Laplacian system L y = D chat for the part y with
+    sum(m_i y_i) = 0, and x = y + rho e with rho the games-weighted mean
+    of r bakes in the constraint sum(m_i x_i) = sum(m_i r_i). Needs
+    connectivity only; bipartite schedules are fine here even though the
+    iteration diverges on them. A caller that already holds
+    `check_structure(d)` passes it as `structure` to skip a second traversal.
     """
     if structure is None:
         structure = diagnostics.check_structure(d)
     if not structure.connected:
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d)
-    chat = centered_offsets(d, model, clamp_scores=clamp_scores)
+    chat = _centered(d, c)
     y = _conjugate_gradients(d, chat)
     # taken on y: x carries the rounding of rho, which large ratings make large
     residual = float(np.abs((y - d.mbar_dot(y)) - chat).max())
@@ -368,14 +361,20 @@ def solve_direct(d: DerivedMatrices, model: RatingModel, r: np.ndarray | None = 
     )
 
 
+def _finite(v: np.ndarray, d: DerivedMatrices, noun: str, name: str) -> np.ndarray:
+    """`v` as a float vector of n finite values, or ValueError naming `noun` and `name`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d.n,):
+        raise ValueError(f"expected {noun} of length {d.n}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _as_vector(r: np.ndarray | None, d: DerivedMatrices) -> np.ndarray:
     if r is None:
         return np.zeros(d.n)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (d.n,):
-        raise ValueError(f"expected a rating vector of length {d.n}, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("initial ratings must be finite")
+    r = _finite(r, d, "a rating vector", "initial ratings")
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(d.m @ r)
     if not np.isfinite(total):

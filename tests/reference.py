@@ -2,11 +2,12 @@
 
 These are the oracles behind the acceptance criteria: the games-weighted
 inner product and strength summary, relabeling a tournament, the power
-limit of Mbar, the raw-vs-centered iteration gap, the consistency residual,
-the score ranking, comparison up to a constant shift, and CSV output for
-round trips, and the per-record check of JSON game records that `io`'s
-column check must agree with. None of them is on the path of the command line, so they live
-with the tests rather than in the package.
+limit of Mbar, the centered offsets, the raw-vs-centered iteration gap,
+the consistency residual, the score ranking, comparison up to a constant
+shift, and CSV output for round trips, and the per-record check of JSON
+game records that `io`'s column check must agree with. None of them is on
+the path of the command line, so they live with the tests rather than in
+the package.
 
 The dense oracle (`dense_derive`, `dense_solve`, `dense_iterate`,
 `dense_structure`, `dense_lopsided_pairs`, `dense_eigenvalues`) recomputes
@@ -32,7 +33,6 @@ from recperf import (
     RatingModel,
     StructureReport,
     Tournament,
-    centered_offsets,
     offsets,
     performance,
     rank_from_ratings,
@@ -247,6 +247,20 @@ def limit_power_check(d: DerivedMatrices, l_max: int, tol: float) -> PowerConver
     return PowerConvergence(converged=False, steps=l_max, deviation=deviation)
 
 
+def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
+                     clamp_scores: bool = False) -> np.ndarray:
+    """The offsets recentered so their games-weighted sum is zero.
+
+    The same two passes, float for float, that `iterate` and `solve_direct`
+    apply to the offsets they are given, so the solvers' default tolerance
+    and residuals can be recomputed from it exactly.
+    """
+    c = offsets(d, model, clamp_scores=clamp_scores)
+    chat = c - d.shares @ c
+    chat -= d.shares @ chat
+    return chat
+
+
 def centering_drift(d: DerivedMatrices, model: RatingModel, r: np.ndarray,
                     steps: int, *, clamp_scores: bool = False) -> np.ndarray:
     """Difference after `steps` between the raw and the centered iteration.
@@ -278,7 +292,7 @@ def consistency_residual(d: DerivedMatrices, model: RatingModel, x: np.ndarray, 
     system; adding a constant shift to x does not change the value.
     """
     x = np.asarray(x, dtype=float)
-    p = performance(d, model, x, clamp_scores=clamp_scores)
+    p = performance(d, offsets(d, model, clamp_scores=clamp_scores), x)
     return min_shift_distance(p, x)
 
 

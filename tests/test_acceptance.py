@@ -29,6 +29,7 @@ from conftest import (
     random_tournament,
 )
 from reference import (
+    centered_offsets,
     centering_drift,
     consistency_residual,
     essentially_identical,
@@ -70,10 +71,10 @@ def corpus():
 def test_criterion_1_reference_instance():
     d = reference_derived()
     expected = np.array([REFERENCE_RATING, 0.0, -REFERENCE_RATING])
-    rp.solve_direct(d, MODEL)  # warm the LAPACK path before timing
+    rp.solve_direct(d, rp.offsets(d, MODEL))  # warm the LAPACK path before timing
     start = time.perf_counter()
-    direct = rp.solve_direct(d, MODEL)
-    iterative = rp.iterate(d, MODEL)
+    direct = rp.solve_direct(d, rp.offsets(d, MODEL))
+    iterative = rp.iterate(d, rp.offsets(d, MODEL))
     elapsed = time.perf_counter() - start
     err_direct = float(np.abs(direct.ratings - expected).max())
     err_iter = float(np.abs(iterative.ratings - expected).max())
@@ -91,7 +92,7 @@ def test_criterion_2_conservation(corpus):
     for d, r in corpus:
         sigma = float(d.m @ r)
         budget = 1e-9 * (1.0 + abs(sigma))
-        out = rp.iterate(d, MODEL, r, record_trace=True)
+        out = rp.iterate(d, rp.offsets(d, MODEL), r, record_trace=True)
         drift = max(abs(float(d.m @ step) - sigma) for step in out.trace)
         worst = max(worst, drift / budget)
     elapsed = time.perf_counter() - start
@@ -105,10 +106,10 @@ def test_criterion_2_conservation(corpus):
 def test_criterion_3_iterative_equals_direct(corpus):
     worst = 0.0
     for d, r in corpus:
-        chat = rp.centered_offsets(d, MODEL)
+        chat = centered_offsets(d, MODEL)
         tol = 1e-10 * max(1.0, float(np.abs(chat).max()))
-        direct = rp.solve_direct(d, MODEL, r)
-        iterative = rp.iterate(d, MODEL, r, tol=tol)
+        direct = rp.solve_direct(d, rp.offsets(d, MODEL), r)
+        iterative = rp.iterate(d, rp.offsets(d, MODEL), r, tol=tol)
         delta = float(np.abs(direct.ratings - iterative.ratings).max())
         worst = max(worst, delta / (10.0 * tol))
     ok = worst <= 1.0
@@ -183,10 +184,10 @@ def test_criterion_7_round_robin_coincidence():
         t = random_round_robin(rng, n)
         assert is_single_round_robin(t)
         d = rp.derive(t)
-        x = rp.solve_direct(d, MODEL).ratings
+        x = rp.solve_direct(d, rp.offsets(d, MODEL)).ratings
         if rp.rank_from_ratings(x, 0.0) != score_ranking(d, 0.0):
             mismatches += 1
-        chat = rp.centered_offsets(d, MODEL)
+        chat = centered_offsets(d, MODEL)
         gaps = chat[:, None] - chat[None, :]
         expected = (n / (n - 1)) * (x[:, None] - x[None, :])
         worst_identity = max(worst_identity, float(np.abs(gaps - expected).max()))
@@ -206,7 +207,7 @@ def test_criterion_8_consistency():
         while is_single_round_robin(t):
             t = random_tournament(rng)
         d = rp.derive(t)
-        x = rp.solve_direct(d, MODEL).ratings
+        x = rp.solve_direct(d, rp.offsets(d, MODEL)).ratings
         worst_fixed_point = max(worst_fixed_point, consistency_residual(d, MODEL, x))
         fake = MODEL.scale * (d.s - d.s.mean())
         if consistency_residual(d, MODEL, fake) > 1e-3:
@@ -228,8 +229,8 @@ def test_criterion_9_r_independence_and_anonymity():
         d = rp.derive(t)
         r1 = rng.uniform(-500.0, 3000.0, d.n)
         r2 = rng.uniform(-500.0, 3000.0, d.n)
-        x1 = rp.solve_direct(d, MODEL, r1).ratings
-        x2 = rp.solve_direct(d, MODEL, r2).ratings
+        x1 = rp.solve_direct(d, rp.offsets(d, MODEL), r1).ratings
+        x2 = rp.solve_direct(d, rp.offsets(d, MODEL), r2).ratings
         worst_shift = max(worst_shift, min_shift_distance(x1, x2))
         if not essentially_identical(x1, x2, 1e-9):
             ranking_mismatches += 1  # counted below too, but flag loudly
@@ -239,7 +240,9 @@ def test_criterion_9_r_independence_and_anonymity():
             ranking_mismatches += 1
         perm = rng.permutation(d.n)
         moved = permute_tournament(t, perm)
-        x_moved = rp.solve_direct(rp.derive(moved), MODEL, r1[np.argsort(perm)]).ratings
+        d_moved = rp.derive(moved)
+        c_moved = rp.offsets(d_moved, MODEL)
+        x_moved = rp.solve_direct(d_moved, c_moved, r1[np.argsort(perm)]).ratings
         worst_perm = max(worst_perm, float(np.abs(x_moved[perm] - x1).max()))
     ok = worst_shift <= 1e-9 and ranking_mismatches == 0 and worst_perm <= 1e-9
     report(9, ok, f"r-independence worst shift {worst_shift:.2e}, ranking "
@@ -251,8 +254,8 @@ def test_criterion_9_r_independence_and_anonymity():
 
 def test_criterion_10_robustness_in_the_model():
     d = reference_derived()
-    base = rp.solve_direct(d, MODEL).ratings
-    nudged = rp.solve_direct(d, rp.elo(400.0 * (1.0 + 1e-6))).ratings
+    base = rp.solve_direct(d, rp.offsets(d, MODEL)).ratings
+    nudged = rp.solve_direct(d, rp.offsets(d, rp.elo(400.0 * (1.0 + 1e-6)))).ratings
     moved = float(np.abs(nudged - base).max())
     ok = moved <= 1e-2
     report(10, ok, f"model-scale robustness: solution moved {moved:.2e}")

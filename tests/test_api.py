@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import re
 from pathlib import Path
@@ -28,7 +29,6 @@ PUBLIC = [
     "Tournament",
     "TournamentDataError",
     "build_tournament",
-    "centered_offsets",
     "check_structure",
     "derive",
     "elo",
@@ -54,6 +54,20 @@ def test_all_lists_exactly_the_public_names():
     assert recperf.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(recperf, name), name
+
+
+def test_only_offsets_reads_the_model():
+    # the solvers take the offsets c; the model and the clamp policy stop at `offsets`
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(recperf.offsets) == ["d", "model", "clamp_scores"]
+    assert params(recperf.performance) == ["d", "c", "r"]
+    assert params(recperf.iterate) == ["d", "c", "r", "tol", "max_iter", "record_trace"]
+    assert params(recperf.solve_direct) == ["d", "c", "r", "structure"]
+    clamping = [name for name in PUBLIC if inspect.isfunction(getattr(recperf, name))
+                and "clamp_scores" in params(getattr(recperf, name))]
+    assert clamping == ["offsets"]
 
 
 def test_report_fields_and_error_attributes():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import recperf.cli
-from recperf import _timing, diagnostics
+from recperf import RatingModel, _timing, diagnostics
 from recperf.cli import (
     EXIT_BOUNDARY,
     EXIT_DISCONNECTED,
@@ -209,6 +209,17 @@ class TestSinglePass:
             assert doc["schema"] == 3
             assert SPECTRAL_KEYS <= doc["diagnostics"].keys()
             assert "eigenvalues" not in doc["diagnostics"]
+
+    @pytest.mark.parametrize("argv", [["rank", "--method", "both"],
+                                      ["performance", "--compare"]], ids=" ".join)
+    def test_each_offset_is_computed_once(self, capsys, monkeypatch, argv):
+        quantiles = []
+        quantile = RatingModel.quantile
+        monkeypatch.setattr(RatingModel, "quantile",
+                            lambda model, s: quantiles.append(s) or quantile(model, s))
+        code, _, _ = run(capsys, argv[0], REFERENCE, *argv[1:])
+        assert code == EXIT_OK
+        assert len(quantiles) == 3  # one per player of the reference tournament
 
 
 class TestTimings:
@@ -427,6 +438,21 @@ class TestSimulate:
                              "--out", str(out_path))
         assert code == EXIT_PARSE
         assert err == f"simulate: strength spread must be finite and positive, got {spread}\n"
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--strengths", "1,nan,2"], "true strengths must be finite, got (1.0, nan, 2.0)"),
+        (["--strengths", "1,inf,2"], "true strengths must be finite, got (1.0, inf, 2.0)"),
+        (["--strengths", "1,a,2"], "--strengths must be comma-separated numbers, got 'a'"),
+        (["--spread", "100", "--schedule", "random:1.5"],
+         "the --schedule count must be a whole number, got '1.5'"),
+    ], ids=["nan", "inf", "not-a-number", "fractional-count"])
+    def test_a_bad_flag_value_is_named(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "simulate", "--players", "3", *argv,
+                             "--out", str(out_path))
+        assert code == EXIT_PARSE
+        assert err == f"simulate: {message}\n"
         assert out == "" and not out_path.exists()
 
     def test_zero_schedule_count_exits_2(self, capsys, tmp_path):

@@ -511,6 +511,15 @@ class TestFormatSniffing:
         expected = load_tournament(FIXTURES / source).tournament
         assert load_tournament(path).tournament == expected
 
+    @pytest.mark.parametrize("source, fmt", [("reference.json", None),
+                                             ("reference.json", "json"),
+                                             ("reference.csv", "csv")],
+                             ids=["sniffed", "json", "csv"])
+    def test_parse_drops_a_leading_byte_order_mark(self, source, fmt):
+        text = (FIXTURES / source).read_text(encoding="utf-8")
+        expected = parse_tournament(text, fmt).tournament
+        assert parse_tournament("\ufeff" + text, fmt).tournament == expected
+
 
 class TestRoundTrip:
     def test_json_crosstable_bit_exact(self):

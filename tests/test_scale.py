@@ -32,6 +32,7 @@ from recperf import (
     iterate,
     load_tournament,
     lopsided_pairs,
+    offsets,
     parse_tournament,
     solve_direct,
     spectral_diagnostics,
@@ -107,14 +108,14 @@ def assert_agrees(t: Tournament, *, iterates: bool) -> None:
     assert_extremes_match(spectral_diagnostics(d), dense_eigenvalues(dd), structure)
     if not structure.connected:
         with pytest.raises(SingularSystemError):
-            solve_direct(d, MODEL, clamp_scores=True, structure=structure)
+            solve_direct(d, offsets(d, MODEL, clamp_scores=True), structure=structure)
         return
     r = np.random.default_rng(t.n).uniform(1000.0, 2600.0, t.n)
-    direct = solve_direct(d, MODEL, r, clamp_scores=True, structure=structure)
+    direct = solve_direct(d, offsets(d, MODEL, clamp_scores=True), r, structure=structure)
     oracle = dense_solve(dd, MODEL, r, clamp_scores=True)
     assert np.abs(direct.ratings - oracle).max() <= 1e-9 * MODEL.scale
     if iterates:
-        steps = iterate(d, MODEL, r, clamp_scores=True).iterations
+        steps = iterate(d, offsets(d, MODEL, clamp_scores=True), r).iterations
         assert abs(steps - dense_iterate(dd, MODEL, r, clamp_scores=True)[1]) <= 1
 
 
@@ -140,8 +141,9 @@ def test_spectral_verdicts_agree_with_bfs_at_a_tiny_gap():
 def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
     # P2 holds, yet the spectral gap is only 5.5e-7
     t = chain_with_triangle(1500)
+    d = derive(t)
     with pytest.raises(ConvergenceError) as excinfo:
-        iterate(derive(t), MODEL, max_iter=10)
+        iterate(d, offsets(d, MODEL), max_iter=10)
     assert "converges, but not within 10 steps" in str(excinfo.value)
     assert "bipartite" not in str(excinfo.value)
     path = tmp_path / "chain.json"
@@ -252,8 +254,8 @@ def n_20000():
     r = np.random.default_rng(20002).uniform(1000.0, 2600.0, d.n)
     return SimpleNamespace(
         names=names, records=records, d=d, r=r,
-        direct=solve_direct(d, MODEL, r, clamp_scores=True),
-        iterative=iterate(d, MODEL, r, clamp_scores=True),
+        direct=solve_direct(d, offsets(d, MODEL, clamp_scores=True), r),
+        iterative=iterate(d, offsets(d, MODEL, clamp_scores=True), r),
     )
 
 
@@ -279,7 +281,7 @@ def test_ratings_conserve_the_total_strength_at_n_20000(n_20000):
 def test_shifting_r_shifts_the_ratings_at_n_20000(n_20000):
     d = n_20000.d
     shift = np.random.default_rng(20003).uniform(-500.0, 500.0, d.n)
-    moved = iterate(d, MODEL, n_20000.r + shift, clamp_scores=True).ratings
+    moved = iterate(d, offsets(d, MODEL, clamp_scores=True), n_20000.r + shift).ratings
     expected = n_20000.iterative.ratings + d.shares @ shift
     assert np.abs(moved - expected).max() <= 1e-9 * MODEL.scale
 
@@ -293,7 +295,8 @@ def test_relabelling_permutes_the_ratings_at_n_20000(n_20000):
     t = build_tournament(labels, [(rename[a], rename[b], x) for a, b, x in n_20000.records])
     r = np.empty_like(n_20000.r)
     r[perm] = n_20000.r
-    moved = solve_direct(derive(t), MODEL, r, clamp_scores=True).ratings
+    d = derive(t)
+    moved = solve_direct(d, offsets(d, MODEL, clamp_scores=True), r).ratings
     assert np.abs(moved[perm] - n_20000.direct.ratings).max() <= 1e-9 * MODEL.scale
 
 

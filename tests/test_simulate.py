@@ -7,6 +7,7 @@ from recperf import (
     check_structure,
     derive,
     elo,
+    offsets,
     simulate_tournament,
     solve_direct,
 )
@@ -154,7 +155,7 @@ class TestRecovery:
                 )
             )
             d = derive(result.tournament())
-            out = solve_direct(d, elo(), clamp_scores=True)
+            out = solve_direct(d, offsets(d, elo(), clamp_scores=True))
             taus.append(kendall_tau(np.array(result.true_strengths), out.ratings))
         assert float(np.mean(taus)) >= 0.7
 

@@ -11,7 +11,6 @@ from recperf import (
     SingularSystemError,
     Tournament,
     build_tournament,
-    centered_offsets,
     derive,
     elo,
     iterate,
@@ -24,6 +23,7 @@ from recperf import (
 
 from conftest import ladder_records, random_tournament
 from reference import (
+    centered_offsets,
     centering_drift,
     dense_derive,
     dense_eigenvalues,
@@ -68,12 +68,12 @@ class TestPerformance:
         )
         d = derive(t)
         r = np.array([2100.0, 2000.0, 1900.0])
-        assert np.allclose(performance(d, MODEL, r), dense_derive(t).Mbar @ r)
+        assert np.allclose(performance(d, offsets(d, MODEL), r), dense_derive(t).Mbar @ r)
 
     def test_reference_elo_performance(self):
         d = derive(reference_tournament())
         r = np.full(3, 2000.0)
-        p = performance(d, MODEL, r)
+        p = performance(d, offsets(d, MODEL), r)
         offset = 400.0 * math.log10(3.0)
         assert np.allclose(p, [2000.0 + offset, 2000.0, 2000.0 - offset])
         assert p[0] == pytest.approx(2190.85, abs=5e-3)
@@ -85,14 +85,14 @@ class TestPerformance:
         d = derive(t)
         r = rng.uniform(1500, 2500, d.n)
         expected = dense_derive(t).Mbar @ r - 400.0 * np.log10(1.0 / d.s - 1.0)
-        assert np.allclose(performance(d, MODEL, r), expected, atol=1e-9)
+        assert np.allclose(performance(d, offsets(d, MODEL), r), expected, atol=1e-9)
 
     def test_defining_property(self):
         rng = np.random.default_rng(42)
         t = random_tournament(rng)
         d = derive(t)
         r = rng.uniform(0, 1000, d.n)
-        p = performance(d, MODEL, r)
+        p = performance(d, offsets(d, MODEL), r)
         avg = dense_derive(t).Mbar @ r
         for i in range(d.n):
             assert MODEL.expected_score(p[i], avg[i]) == pytest.approx(d.s[i], abs=1e-9)
@@ -100,14 +100,38 @@ class TestPerformance:
     def test_boundary_score_names_player(self):
         d = derive(Tournament(("A", "B"), np.array([[0.0, 1.0], [0.0, 0.0]])))
         with pytest.raises(BoundaryScoreError) as excinfo:
-            performance(d, MODEL, np.zeros(2))
+            performance(d, offsets(d, MODEL), np.zeros(2))
         assert excinfo.value.player == 0
 
     def test_clamp_escape_hatch(self):
         d = derive(Tournament(("A", "B"), np.array([[0.0, 1.0], [0.0, 0.0]])))
-        p = performance(d, MODEL, np.zeros(2), clamp_scores=True)
+        p = performance(d, offsets(d, MODEL, clamp_scores=True), np.zeros(2))
         # clamped to s = (3/4, 1/4) since eps = 1/(2*1+2)
         assert p[0] == pytest.approx(400.0 * math.log10(3.0), abs=1e-9)
+
+
+class TestOffsetsInput:
+    """The solvers take the offsets of `offsets` and check them as outside input."""
+
+    SOLVERS = [lambda d, c: performance(d, c, np.zeros(d.n)), iterate, solve_direct]
+
+    @pytest.mark.parametrize("solve", SOLVERS, ids=["performance", "iterate", "solve_direct"])
+    @pytest.mark.parametrize("c, message", [
+        ([100.0, -100.0], "expected offsets of length 3, got shape (2,)"),
+        ([[100.0, 0.0, -100.0]], "expected offsets of length 3, got shape (1, 3)"),
+        ([100.0, np.nan, -100.0], "offsets must be finite"),
+        ([np.inf, 0.0, -100.0], "offsets must be finite"),
+    ], ids=["short", "2d", "nan", "inf"])
+    def test_bad_offsets_are_named(self, solve, c, message):
+        with pytest.raises(ValueError) as excinfo:
+            solve(derive(reference_tournament()), c)
+        assert str(excinfo.value) == message
+
+    def test_offsets_of_a_list_match_the_array(self):
+        d = derive(reference_tournament())
+        c = offsets(d, MODEL)
+        assert np.array_equal(iterate(d, c.tolist()).ratings, iterate(d, c).ratings)
+        assert np.array_equal(solve_direct(d, c.tolist()).ratings, solve_direct(d, c).ratings)
 
 
 class TestCenteredOffsets:
@@ -145,7 +169,7 @@ class TestCenteredOffsets:
 class TestIterate:
     def test_reference_instance(self):
         d = derive(reference_tournament())
-        out = iterate(d, MODEL)
+        out = iterate(d, offsets(d, MODEL))
         assert np.allclose(
             out.ratings, [REFERENCE_RATING, 0.0, -REFERENCE_RATING], atol=1e-7
         )
@@ -156,7 +180,7 @@ class TestIterate:
     def test_geometric_rate(self):
         # contraction ratio 1/2 puts convergence to 1.9e-8 in the mid 30s
         d = derive(reference_tournament())
-        out = iterate(d, MODEL)
+        out = iterate(d, offsets(d, MODEL))
         assert 25 <= out.iterations <= 45
 
     def test_equal_scores_converge_to_weighted_mean(self):
@@ -174,14 +198,14 @@ class TestIterate:
         )
         d = derive(drawn)
         r = rng.uniform(1000, 3000, d.n)
-        out = iterate(d, MODEL, r)
+        out = iterate(d, offsets(d, MODEL), r)
         rho = float(d.m @ r) / float(d.m.sum())
         assert np.allclose(out.ratings, rho, atol=1e-6)
 
     def test_team_tournament_oscillates(self):
         d = derive(team_2v2())
         with pytest.raises(ConvergenceError) as excinfo:
-            iterate(d, MODEL, max_iter=500)
+            iterate(d, offsets(d, MODEL), max_iter=500)
         err = excinfo.value
         assert "oscillates" in str(err)
         assert err.step_norm > 0
@@ -195,8 +219,9 @@ class TestIterate:
         names = [f"P{i}" for i in range(30)]
         records = [(names[i], names[i + 1], 0.6) for i in range(29)]
         records.append((names[0], names[2], 0.6))
+        d = derive(build_tournament(names, records))
         with pytest.raises(ConvergenceError) as excinfo:
-            iterate(derive(build_tournament(names, records)), MODEL, max_iter=50)
+            iterate(d, offsets(d, MODEL), max_iter=50)
         message = str(excinfo.value)
         assert "odd cycle" in message
         assert "spectral gap" in message
@@ -208,7 +233,7 @@ class TestIterate:
         # the reference schedule contracts by 1/2 a step: it converges in 25-45
         d = derive(reference_tournament())
         with pytest.raises(ConvergenceError) as excinfo:
-            iterate(d, MODEL, max_iter=5)
+            iterate(d, offsets(d, MODEL), max_iter=5)
         message = str(excinfo.value)
         assert "odd cycle" in message and "spectral gap positive" in message
         assert "converges, but not within 5 steps" in message
@@ -220,15 +245,16 @@ class TestIterate:
             ("A", "B", 0.8), ("A", "C", 0.8), ("B", "C", 0.5),
             ("D", "E", 0.5), ("D", "F", 0.5), ("E", "F", 0.5),
         ])
+        d = derive(t)
         with pytest.raises(ConvergenceError) as excinfo:
-            iterate(derive(t), MODEL, max_iter=200)
+            iterate(d, offsets(d, MODEL), max_iter=200)
         message = str(excinfo.value)
         assert "splits into 2 independent groups" in message
         assert "bipartite" not in message and "odd cycle" not in message
 
     def test_trace_records_each_step(self):
         d = derive(reference_tournament())
-        out = iterate(d, MODEL, record_trace=True)
+        out = iterate(d, offsets(d, MODEL), record_trace=True)
         assert out.trace is not None
         assert len(out.trace) == out.iterations + 1
         assert np.allclose(out.trace[-1], out.ratings)
@@ -240,7 +266,7 @@ class TestIterate:
             d = derive(t)
             r = rng.uniform(500, 2500, d.n)
             sigma = float(d.m @ r)
-            out = iterate(d, MODEL, r, record_trace=True)
+            out = iterate(d, offsets(d, MODEL), r, record_trace=True)
             tol = 1e-9 * (1 + abs(sigma))
             for step in out.trace:
                 assert abs(float(d.m @ step) - sigma) <= tol
@@ -248,7 +274,7 @@ class TestIterate:
     def test_bad_tolerance(self):
         d = derive(reference_tournament())
         with pytest.raises(ValueError, match="positive"):
-            iterate(d, MODEL, tol=0.0)
+            iterate(d, offsets(d, MODEL), tol=0.0)
 
 
 @pytest.fixture
@@ -275,7 +301,7 @@ def assert_capped_on_a_plain_step(cap):
     errors = []
     for record_trace in (False, True):
         with pytest.raises(ConvergenceError) as excinfo:
-            iterate(d, MODEL, max_iter=cap, record_trace=record_trace)
+            iterate(d, offsets(d, MODEL), max_iter=cap, record_trace=record_trace)
         errors.append(excinfo.value)
     blocks, plain = errors
     assert blocks.iterations == cap
@@ -289,7 +315,8 @@ class TestBlockPath:
 
     def test_count_and_ratings_match_the_dense_iteration(self):
         t = load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament
-        out = iterate(derive(t), MODEL)
+        d = derive(t)
+        out = iterate(d, offsets(d, MODEL))
         ratings, iterations = dense_iterate(dense_derive(t), MODEL)
         assert out.iterations == iterations == 15353
         assert np.abs(out.ratings - ratings).max() <= 1e-9 * MODEL.scale
@@ -308,9 +335,9 @@ class TestBlockPath:
     @pytest.mark.parametrize("n", [40, 60, 100])
     def test_stops_where_the_plain_loop_stops(self, block_maps, n):
         d = derive(build_tournament(*ladder_records(n)))
-        blocks = iterate(d, MODEL)
+        blocks = iterate(d, offsets(d, MODEL))
         assert len(block_maps) == 1
-        plain = iterate(d, MODEL, record_trace=True)
+        plain = iterate(d, offsets(d, MODEL), record_trace=True)
         assert len(block_maps) == 1
         assert blocks.iterations == plain.iterations
         assert np.abs(blocks.ratings - plain.ratings).max() <= 1e-9 * MODEL.scale
@@ -319,18 +346,20 @@ class TestBlockPath:
         def refuse(*args):
             raise AssertionError("block maps built")
         monkeypatch.setattr(solver, "_block_map", refuse)
-        iterate(derive(reference_tournament()), MODEL)
+        d = derive(reference_tournament())
+        iterate(d, offsets(d, MODEL))
         rng = np.random.default_rng(47)
         for _ in range(20):
             d = derive(random_tournament(rng))
-            iterate(d, MODEL, rng.uniform(0, 2000, d.n))
+            iterate(d, offsets(d, MODEL), rng.uniform(0, 2000, d.n))
 
     def test_agrees_with_direct(self, block_maps):
         d = derive(build_tournament(*ladder_records(60)))
         # the default tol leaves an error of tol / gap, 2.5e-6 here
-        out = iterate(d, MODEL, tol=1e-13 * MODEL.scale)
+        c = offsets(d, MODEL)
+        out = iterate(d, c, tol=1e-13 * MODEL.scale)
         assert len(block_maps) == 1
-        assert np.abs(out.ratings - solve_direct(d, MODEL).ratings).max() <= 1e-9 * MODEL.scale
+        assert np.abs(out.ratings - solve_direct(d, c).ratings).max() <= 1e-9 * MODEL.scale
 
     def test_a_cap_inside_a_block_ends_on_a_plain_step(self, block_maps):
         # blocks of 256 cover steps 129-1664 and blocks of 16 steps 1665-1696;
@@ -347,16 +376,17 @@ class TestBlockPath:
     def test_a_bipartite_path_still_takes_blocks(self, block_maps):
         names = [f"P{k}" for k in range(30)]
         records = [(names[k], names[k + 1], 0.6) for k in range(29)] * 2
+        d = derive(build_tournament(names, records))
         with pytest.raises(ConvergenceError, match="is bipartite"):
-            iterate(derive(build_tournament(names, records)), MODEL, max_iter=100_000)
+            iterate(d, offsets(d, MODEL), max_iter=100_000)
         assert len(block_maps) == 1
 
     def test_trace_keeps_every_step_past_the_switch(self, block_maps):
         d = derive(build_tournament(*ladder_records(60)))
         r = np.random.default_rng(57).uniform(500, 2500, d.n)
-        out = iterate(d, MODEL, r, record_trace=True)
+        out = iterate(d, offsets(d, MODEL), r, record_trace=True)
         assert not block_maps
-        assert out.iterations == iterate(d, MODEL, r).iterations
+        assert out.iterations == iterate(d, offsets(d, MODEL), r).iterations
         assert len(block_maps) == 1
         assert len(out.trace) == out.iterations + 1
         sigma = float(d.m @ r)
@@ -367,10 +397,11 @@ class TestBlockPath:
         # 16 eps |y|_inf), so the stall ends the run on both paths; they
         # can stop a few steps apart
         d, gap, r = huge_ladder
-        direct = solve_direct(d, MODEL, r).ratings
+        c = offsets(d, MODEL)
+        direct = solve_direct(d, c, r).ratings
         rho = float(d.shares @ r)
         for record_trace in (False, True):
-            out = iterate(d, MODEL, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
+            out = iterate(d, c, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
             assert out.iterations < 21000  # 20,751 at r = 0; the cap is 10**6
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
             assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
@@ -383,17 +414,18 @@ class TestDeviationIterate:
         # on x itself the rounding floor 16 eps |x|_inf = 3.6e-3 stopped the
         # run at 5,239 steps, 2.7 rating points from the direct solve
         d, gap, r = huge_ladder
-        out = iterate(d, MODEL, r)
-        assert out.iterations == iterate(d, MODEL, r, record_trace=True).iterations == 15357
+        c = offsets(d, MODEL)
+        out = iterate(d, c, r)
+        assert out.iterations == iterate(d, c, r, record_trace=True).iterations == 15357
         tol = 1e-10 * float(np.abs(centered_offsets(d, MODEL)).max())
         rho = float(d.shares @ r)
-        error = np.abs(out.ratings - solve_direct(d, MODEL, r).ratings).max()
+        error = np.abs(out.ratings - solve_direct(d, offsets(d, MODEL), r).ratings).max()
         assert error <= 4 * np.spacing(rho) + 10 * tol / gap
 
     def test_trace_keeps_the_total_of_huge_ratings(self, huge_ladder):
         d, _, r = huge_ladder
         sigma = float(d.m @ r)
-        out = iterate(d, MODEL, r, record_trace=True)
+        out = iterate(d, offsets(d, MODEL), r, record_trace=True)
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 4 * np.spacing(sigma)
 
     def test_a_capped_run_keeps_the_total_of_huge_ratings(self, huge_ladder):
@@ -401,14 +433,15 @@ class TestDeviationIterate:
         sigma = float(d.m @ r)
         for record_trace in (False, True):
             with pytest.raises(ConvergenceError) as excinfo:
-                iterate(d, MODEL, r, max_iter=1700, record_trace=record_trace)
+                iterate(d, offsets(d, MODEL), r, max_iter=1700, record_trace=record_trace)
             assert abs(float(d.m @ excinfo.value.last_iterate) - sigma) <= 4 * np.spacing(sigma)
 
     def test_a_tolerance_below_the_rounding_ends_in_the_stall(self, huge_ladder):
         d, gap, _ = huge_ladder
-        direct = solve_direct(d, MODEL).ratings
+        c = offsets(d, MODEL)
+        direct = solve_direct(d, c).ratings
         for record_trace in (False, True):
-            out = iterate(d, MODEL, tol=1e-300, max_iter=10**6, record_trace=record_trace)
+            out = iterate(d, c, tol=1e-300, max_iter=10**6, record_trace=record_trace)
             assert out.iterations == 20751
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
             assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
@@ -418,14 +451,15 @@ class TestDeviationIterate:
         a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0.03125, 0, 0]])
         d = derive(Tournament(("A", "B", "C"), a))
         r = np.array([1.5e308, -1.5e308, -1.5e308])
-        out = iterate(d, MODEL, r)
-        assert np.allclose(out.ratings, solve_direct(d, MODEL, r).ratings, rtol=1e-12, atol=0)
+        c = offsets(d, MODEL)
+        out = iterate(d, c, r)
+        assert np.allclose(out.ratings, solve_direct(d, c, r).ratings, rtol=1e-12, atol=0)
 
 
 class TestSolveDirect:
     def test_reference_instance(self):
         d = derive(reference_tournament())
-        out = solve_direct(d, MODEL)
+        out = solve_direct(d, offsets(d, MODEL))
         assert np.allclose(
             out.ratings, [REFERENCE_RATING, 0.0, -REFERENCE_RATING], atol=1e-9
         )
@@ -437,7 +471,7 @@ class TestSolveDirect:
         # in a single round robin the offsets determine rating gaps by n/(n-1)
         d = derive(reference_tournament())
         chat = centered_offsets(d, MODEL)
-        x = solve_direct(d, MODEL).ratings
+        x = solve_direct(d, offsets(d, MODEL)).ratings
         assert np.allclose(chat, 1.5 * x, atol=1e-9)
 
     def test_agrees_with_iteration(self):
@@ -448,8 +482,8 @@ class TestSolveDirect:
             r = rng.uniform(0, 2000, d.n)
             chat = centered_offsets(d, MODEL)
             tol = 1e-10 * max(1.0, float(np.abs(chat).max()))
-            direct = solve_direct(d, MODEL, r)
-            iterative = iterate(d, MODEL, r, tol=tol)
+            direct = solve_direct(d, offsets(d, MODEL), r)
+            iterative = iterate(d, offsets(d, MODEL), r, tol=tol)
             assert np.abs(direct.ratings - iterative.ratings).max() <= 10 * tol
             # residual bound on convergence: tol * (1 + |Mbar|_inf) = 2 tol
             assert iterative.residual <= 2 * tol
@@ -460,28 +494,29 @@ class TestSolveDirect:
         # on y, which does not depend on r
         d = derive(load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament)
         r = 1e12 + np.arange(d.n)
-        out, at_zero = solve_direct(d, MODEL, r), solve_direct(d, MODEL)
+        out, at_zero = solve_direct(d, offsets(d, MODEL), r), solve_direct(d, offsets(d, MODEL))
         assert out.residual == at_zero.residual <= 1e-10
         assert np.array_equal(out.ratings, at_zero.ratings + float(d.shares @ r))
 
     def test_team_tournament_still_solvable(self):
         # P2 fails but P1 holds: the linear system keeps rank n-1
         d = derive(team_2v2())
-        out = solve_direct(d, MODEL)
+        out = solve_direct(d, offsets(d, MODEL))
         assert np.all(np.isfinite(out.ratings))
         assert out.residual <= 1e-10
         with pytest.raises(ConvergenceError):
-            iterate(d, MODEL, max_iter=200)
+            iterate(d, offsets(d, MODEL), max_iter=200)
 
     def test_initial_ratings_must_match_the_players(self):
+        d = derive(reference_tournament())
         with pytest.raises(ValueError) as excinfo:
-            solve_direct(derive(reference_tournament()), MODEL, [2000.0, 1800.0])
+            solve_direct(d, offsets(d, MODEL), [2000.0, 1800.0])
         assert str(excinfo.value) == "expected a rating vector of length 3, got shape (2,)"
 
     def test_disconnected_raises_with_witness(self):
         d = derive(two_pairs())
         with pytest.raises(SingularSystemError) as excinfo:
-            solve_direct(d, MODEL)
+            solve_direct(d, offsets(d, MODEL))
         assert excinfo.value.components == ((0, 1), (2, 3))
 
     def test_translation_equivariance(self):
@@ -489,8 +524,8 @@ class TestSolveDirect:
         t = random_tournament(rng)
         d = derive(t)
         r = rng.uniform(0, 1000, d.n)
-        base = solve_direct(d, MODEL, r).ratings
-        shifted = solve_direct(d, MODEL, r + 100.0).ratings
+        base = solve_direct(d, offsets(d, MODEL), r).ratings
+        shifted = solve_direct(d, offsets(d, MODEL), r + 100.0).ratings
         assert np.abs(shifted - (base + 100.0)).max() <= 1e-9
         assert rank_from_ratings(base, 1e-9) == rank_from_ratings(shifted, 1e-9)
 
@@ -501,7 +536,7 @@ class TestSolveDirect:
             d = derive(t)
             r = rng.uniform(-500, 3000, d.n)
             sigma = float(d.m @ r)
-            out = solve_direct(d, MODEL, r)
+            out = solve_direct(d, offsets(d, MODEL), r)
             assert abs(out.pinned_total - sigma) <= 1e-9 * (1 + abs(sigma))
 
     def test_anonymity(self):
@@ -509,10 +544,11 @@ class TestSolveDirect:
         t = random_tournament(rng)
         d = derive(t)
         r = rng.uniform(0, 2000, d.n)
-        x = solve_direct(d, MODEL, r).ratings
+        x = solve_direct(d, offsets(d, MODEL), r).ratings
         perm = rng.permutation(t.n)
         moved = permute_tournament(t, perm)
-        x_moved = solve_direct(derive(moved), MODEL, r[np.argsort(perm)]).ratings
+        d_moved = derive(moved)
+        x_moved = solve_direct(d_moved, offsets(d_moved, MODEL), r[np.argsort(perm)]).ratings
         assert np.abs(x_moved[perm] - x).max() <= 1e-9
 
     def test_subnormal_game_totals_solve_like_unit_ones(self):
@@ -522,15 +558,16 @@ class TestSolveDirect:
         a = rng.uniform(0.05, 0.95, (5, 5))
         np.fill_diagonal(a, 0.0)
         names = ("A", "B", "C", "D", "E")
-        unit = solve_direct(derive(Tournament(names, a)), MODEL)
-        tiny = solve_direct(derive(Tournament(names, a * 1e-315)), MODEL)
+        d_unit, d_tiny = derive(Tournament(names, a)), derive(Tournament(names, a * 1e-315))
+        unit = solve_direct(d_unit, offsets(d_unit, MODEL))
+        tiny = solve_direct(d_tiny, offsets(d_tiny, MODEL))
         assert np.abs(tiny.ratings - unit.ratings).max() <= 1e-5
         assert tiny.residual <= 1e-12
 
     def test_n2_degenerate_returns_gap(self):
         # a two-player tournament: P2 always fails but the direct solve is defined
         d = derive(build_tournament(["A", "B"], [("A", "B", 0.6), ("A", "B", 0.6)]))
-        out = solve_direct(d, MODEL)
+        out = solve_direct(d, offsets(d, MODEL))
         assert np.all(np.isfinite(out.ratings))
         assert out.ratings[0] > out.ratings[1]
 
@@ -573,7 +610,7 @@ class TestConsistency:
         for _ in range(10):
             t = random_tournament(rng)
             d = derive(t)
-            x = solve_direct(d, MODEL).ratings
+            x = solve_direct(d, offsets(d, MODEL)).ratings
             assert consistency_residual(d, MODEL, x) <= 1e-9
 
     def test_score_vector_is_not(self):
@@ -587,7 +624,7 @@ class TestConsistency:
         rng = np.random.default_rng(55)
         t = random_tournament(rng)
         d = derive(t)
-        x = solve_direct(d, MODEL).ratings
+        x = solve_direct(d, offsets(d, MODEL)).ratings
         base = consistency_residual(d, MODEL, x)
         shifted = consistency_residual(d, MODEL, x + 250.0)
         assert shifted == pytest.approx(base, abs=1e-9)
@@ -596,8 +633,8 @@ class TestConsistency:
 class TestRobustness:
     def test_small_scale_change_moves_solution_little(self):
         d = derive(reference_tournament())
-        x = solve_direct(d, MODEL).ratings
-        x_eps = solve_direct(d, elo(400.0 * (1.0 + 1e-6))).ratings
+        x = solve_direct(d, offsets(d, MODEL)).ratings
+        x_eps = solve_direct(d, offsets(d, elo(400.0 * (1.0 + 1e-6)))).ratings
         assert np.abs(x_eps - x).max() <= 1e-2
 
     @pytest.mark.parametrize("solve", [solve_direct, iterate], ids=["direct", "iterative"])
@@ -605,8 +642,8 @@ class TestRobustness:
         # at |x| = 1e10 a step cannot fall below its rounding (ulp 1.9e-6),
         # far above the default tolerance 4e-8: the iteration must stop anyway
         d = derive(reference_tournament())
-        at_zero = solve(d, MODEL).ratings
-        shifted = solve(d, MODEL, np.full(d.n, 1e10)).ratings
+        at_zero = solve(d, offsets(d, MODEL)).ratings
+        shifted = solve(d, offsets(d, MODEL), np.full(d.n, 1e10)).ratings
         assert np.abs((shifted - 1e10) - at_zero).max() <= 1e-4
 
     def test_step_overflow_is_not_an_error(self):
@@ -615,13 +652,14 @@ class TestRobustness:
         a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0.03125, 0, 0]])
         d = derive(Tournament(("A", "B", "C"), a))
         r = np.array([-1e308, 1e308, -1e308])
-        out = iterate(d, MODEL, r)
-        assert np.allclose(out.ratings, solve_direct(d, MODEL, r).ratings, rtol=1e-12, atol=0)
+        c = offsets(d, MODEL)
+        out = iterate(d, c, r)
+        assert np.allclose(out.ratings, solve_direct(d, c, r).ratings, rtol=1e-12, atol=0)
 
     def test_solutions_for_different_r_essentially_identical(self):
         rng = np.random.default_rng(56)
         t = random_tournament(rng)
         d = derive(t)
-        x1 = solve_direct(d, MODEL, rng.uniform(0, 3000, d.n)).ratings
-        x2 = solve_direct(d, MODEL, rng.uniform(0, 3000, d.n)).ratings
+        x1 = solve_direct(d, offsets(d, MODEL), rng.uniform(0, 3000, d.n)).ratings
+        x2 = solve_direct(d, offsets(d, MODEL), rng.uniform(0, 3000, d.n)).ratings
         assert min_shift_distance(x1, x2) <= 1e-9
