@@ -52,18 +52,15 @@ class ParsedTournament:
 
 def _sniff(text: str) -> str:
     # match, not text.lstrip(): that copies the whole text after leading space
-    return "json" if re.match(r"\s*\{", text) else "csv"
+    return "json" if re.match(r"\s*[{[]", text) else "csv"
 
 
-def parse_tournament(text: str, fmt: str | None = None) -> ParsedTournament:
-    """Parse JSON or CSV text (sniffed when `fmt` is None), less one leading byte-order mark."""
+def parse_tournament(text: str) -> ParsedTournament:
+    """Parse JSON text (first non-blank `{` or `[`) or CSV, less one leading byte-order mark."""
     text = text[1:] if text.startswith("\ufeff") else text  # copied only if it has the mark
-    fmt = _sniff(text) if fmt is None else fmt
-    if fmt == "json":
+    if _sniff(text) == "json":
         return parse_tournament_json(text)
-    if fmt == "csv":
-        return parse_tournament_csv(text)
-    raise ParseError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
+    return parse_tournament_csv(text)
 
 
 def load_tournament(path: str | Path) -> ParsedTournament:

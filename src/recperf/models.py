@@ -55,7 +55,7 @@ class RatingModel:
                 f"unknown model family {self.family!r}; expected one of {FAMILIES}"
             )
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"model scale must be positive, got {self.scale}")
+            raise ValueError(f"model scale must be finite and positive, got {self.scale}")
 
     def cdf(self, x: float) -> float:
         """Probability value at rating difference x."""

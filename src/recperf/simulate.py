@@ -62,6 +62,8 @@ class SimulationConfig:
                 raise ValueError(f"{len(strengths)} strengths given for {self.n} players")
             if not np.isfinite(strengths).all():  # else the draw fails on the first such game
                 raise ValueError(f"true strengths must be finite, got {strengths}")
+            if not np.isfinite(max(strengths) - min(strengths)):  # every game takes a difference
+                raise ValueError(f"true strengths must differ by a finite amount, got {strengths}")
             object.__setattr__(self, "true_strengths", strengths)
         elif not 0 < self.spread < float("inf"):  # NaN fails both comparisons
             raise ValueError(f"strength spread must be finite and positive, got {self.spread}")

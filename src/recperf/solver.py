@@ -246,7 +246,10 @@ def _block_map(d: DerivedMatrices,
     K steps map x to P x + q. Squaring (P, q) into (P P, P q + q) doubles
     the steps; a copy keeps Mbar^16, so three n x n arrays are live at the
     end. Each product is taken row by row (gemv), since a whole-matrix one
-    (gemm) takes about 1 MB more BLAS scratch memory.
+    (gemm) takes about 1 MB more BLAS scratch memory, and its threads stall
+    on busy cores: on the bench ladder (n = 220, 2 cores) the rows took
+    0.03-0.04 s of solve in every run, gemm 0.02 s in most but 0.15 s in
+    5 of 28.
     """
     p = np.zeros((d.n, d.n))
     p[np.repeat(np.arange(d.n), np.diff(d.indptr)), d.indices] = d.weights
@@ -301,8 +304,15 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
     projection restores against rounding. Raises ConvergenceError after
     10 n iterations, or sooner if rounding leaves a direction of
     non-positive curvature.
+
+    CG runs on chat / u, u the power of two just above |chat|_inf: unscaled,
+    its squared residuals overflow once |chat|_inf passes about 1e154, and
+    a power of two scales exactly, so no result that fits in range moves.
     """
-    floor = 1e-13 * max(1.0, float(np.abs(chat).max()))
+    top = float(np.abs(chat).max())
+    u = math.ldexp(1.0, math.frexp(top)[1])  # 1 when chat = 0
+    floor = 1e-13 * max(1.0, top) / u
+    chat = chat / u
     y = np.zeros(d.n)
     res = chat.copy()  # the residual at y = 0
 
@@ -317,7 +327,7 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
             q = p - d.mbar_dot(p)
             curvature = float(d.shares @ (p * q))
             if iterations == 10 * d.n or not curvature > 0:
-                raise ConvergenceError(iterations, float(np.abs(res).max()), None, y)
+                raise ConvergenceError(iterations, float(np.abs(res).max()) * u, None, y * u)
             alpha = rr / curvature
             y += alpha * p
             res -= alpha * q
@@ -327,7 +337,7 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
             iterations += 1
         res = chat - (y - d.mbar_dot(y))
     y -= d.shares @ y
-    return y
+    return y * u
 
 
 def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,

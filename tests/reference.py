@@ -326,7 +326,7 @@ def essentially_identical(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
 
 
 def tournament_to_csv(t: Tournament) -> str:
-    """CSV crosstable text that `parse_tournament(..., fmt="csv")` reads back."""
+    """CSV crosstable text that `parse_tournament` reads back."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(t.players))

@@ -78,6 +78,15 @@ class TestRank:
         chat_scale = max(1.0, 400.0 * np.log10(3.0))
         assert doc["solver"]["max_method_delta"] <= 10 * 1e-10 * chat_scale
 
+    @pytest.mark.parametrize("method", ["direct", "both"])
+    def test_a_huge_model_scale_solves(self, capsys, method):
+        # the offsets reach 1e200: squared, CG's residuals would overflow
+        code, out, _ = run(capsys, "rank", REFERENCE, "--model", "elo:1e200",
+                           "--method", method, "--format", "json")
+        assert code == EXIT_OK
+        by_player = {row["player"]: row["rating"] for row in json.loads(out)["players"]}
+        assert by_player["A"] == pytest.approx(127.2323 / 400 * 1e200, rel=1e-6)
+
     def test_disconnected_exit_code(self, capsys):
         code, _, err = run(capsys, "rank", str(FIXTURES / "disconnected.json"))
         assert code == EXIT_DISCONNECTED
@@ -446,7 +455,9 @@ class TestSimulate:
         (["--strengths", "1,a,2"], "--strengths must be comma-separated numbers, got 'a'"),
         (["--spread", "100", "--schedule", "random:1.5"],
          "the --schedule count must be a whole number, got '1.5'"),
-    ], ids=["nan", "inf", "not-a-number", "fractional-count"])
+        (["--strengths", "1e308,-1e308,0"],
+         "true strengths must differ by a finite amount, got (1e+308, -1e+308, 0.0)"),
+    ], ids=["nan", "inf", "not-a-number", "fractional-count", "spread-past-float-range"])
     def test_a_bad_flag_value_is_named(self, capsys, tmp_path, argv, message):
         out_path = tmp_path / "x.json"
         code, out, err = run(capsys, "simulate", "--players", "3", *argv,

@@ -173,7 +173,7 @@ def csv_with_a_bad_cell(draw):
 def test_csv_error_names_the_file_line_and_the_cell(case):
     text, message = case
     with pytest.raises(ParseError) as excinfo:
-        parse_tournament(text, "csv")
+        parse_tournament(text)
     assert str(excinfo.value) == message
 
 

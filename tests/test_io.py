@@ -30,7 +30,7 @@ from reference import match_records, tournament_to_csv
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _traced_at_build(monkeypatch, text: str, fmt: str | None = None) -> tuple[int, int]:
+def _traced_at_build(monkeypatch, text: str) -> tuple[int, int]:
     """Traced (current, peak) bytes when parsing `text` reaches `Tournament`; A[0, 1] is 0.5."""
     seen = []
 
@@ -41,7 +41,7 @@ def _traced_at_build(monkeypatch, text: str, fmt: str | None = None) -> tuple[in
     monkeypatch.setattr(recperf.io, "Tournament", build)
     tracemalloc.start()
     try:
-        parsed = parse_tournament(text, fmt)
+        parsed = parse_tournament(text)
     finally:
         tracemalloc.stop()
     assert parsed.tournament.score_matrix[0, 1] == 0.5
@@ -190,7 +190,7 @@ class TestJsonParsing:
             "self-match-first", "first-bad-record", "negative-score", "type-after-value"])
     def test_messages(self, text, error, message):
         with pytest.raises(error) as excinfo:
-            parse_tournament(text, "json")
+            parse_tournament(text)
         assert type(excinfo.value) is error
         assert str(excinfo.value) == message
 
@@ -369,21 +369,21 @@ class TestCsvParsing:
         assert np.allclose(d.s, [0.75, 0.5, 0.25])
 
     def test_empty_diagonal_cells_allowed(self):
-        parsed = parse_tournament(",A,B\nA,,1\nB,0,\n", fmt="csv")
+        parsed = parse_tournament(",A,B\nA,,1\nB,0,\n")
         assert np.array_equal(parsed.tournament.score_matrix, [[0, 1], [0, 0]])
 
     def test_non_numeric_cell_reports_position(self):
         with pytest.raises(ParseError, match=r"line 2, column 3.*'x'"):
-            parse_tournament(",A,B\nA,,x\nB,0,\n", fmt="csv")
+            parse_tournament(",A,B\nA,,x\nB,0,\n")
 
     def test_bad_cell_below_a_blank_line_names_its_file_line(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_tournament(",A,B\n\nA,,x\nB,0,\n", fmt="csv")
+            parse_tournament(",A,B\n\nA,,x\nB,0,\n")
         assert str(excinfo.value) == "line 3, column 3 (A vs B): non-numeric cell 'x'"
 
     def test_a_row_spanning_lines_names_the_line_it_starts_on(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_tournament(',A,B\nA,,"x\ny"\nB,0,\n', fmt="csv")
+            parse_tournament(',A,B\nA,,"x\ny"\nB,0,\n')
         assert str(excinfo.value) == "line 2, column 3 (A vs B): non-numeric cell 'x\\ny'"
 
     def test_the_text_is_read_without_a_copy(self):
@@ -396,7 +396,7 @@ class TestCsvParsing:
             for i in range(n))
         tracemalloc.start()
         try:
-            parsed = parse_tournament(text, fmt="csv")
+            parsed = parse_tournament(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,69 +410,67 @@ class TestCsvParsing:
         text = "," + ",".join(labels) + "\n" + "".join(
             f"{labels[i]}," + ",".join("" if i == j else "0.5" for j in range(n)) + "\n"
             for i in range(n))
-        _, peak = _traced_at_build(monkeypatch, text, "csv")
+        _, peak = _traced_at_build(monkeypatch, text)
         assert peak < 1.25 * n * n * 8
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_in_a_cell_is_named_as_read(self, separator):
         # str.strip removes U+001C-U+001F, which float and numpy reject
         with pytest.raises(ParseError) as excinfo:
-            parse_tournament(f",A,B\nA,,{separator}1\nB,0,\n", fmt="csv")
+            parse_tournament(f",A,B\nA,,{separator}1\nB,0,\n")
         assert str(excinfo.value) == (
             f"line 2, column 3 (A vs B): non-numeric cell {separator + '1'!r}")
 
     def test_wrong_cell_count(self):
         with pytest.raises(ParseError, match=r"^line 3: expected 3 cells, got 2$"):
-            parse_tournament(",A,B\nA,,1\nB,0\n", fmt="csv")
+            parse_tournament(",A,B\nA,,1\nB,0\n")
 
     def test_empty_cell_off_the_diagonal(self):
         with pytest.raises(ParseError, match=r"^line 2, column 3: empty cell off the diagonal$"):
-            parse_tournament(",A,B\nA,,\nB,0,\n", fmt="csv")
+            parse_tournament(",A,B\nA,,\nB,0,\n")
 
     def test_cells_read_as_float_reads_them(self):
         # spellings float accepts: whitespace, exponents, underscores, signs
         cells = [" 1.5 ", "2e0", "1_0", "+.25", "\t3\t", "0.5E+1"]
         text = ",A,B,C\nA, 0 ,{},{}\nB,{},,{}\nC,{},{},  \n".format(*cells)
-        matrix = parse_tournament(text, fmt="csv").tournament.score_matrix
+        matrix = parse_tournament(text).tournament.score_matrix
         expected = [[0, 1.5, 2], [10, 0, 0.25], [3, 5, 0]]
         assert np.array_equal(matrix, expected)
 
     def test_bad_cell_after_a_blank_diagonal_reports_position(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_tournament(",A,B,C\nA,,1,1\nB,0,,x\nC,0,0,\n", fmt="csv")
+            parse_tournament(",A,B,C\nA,,1,1\nB,0,,x\nC,0,0,\n")
         assert str(excinfo.value) == "line 3, column 4 (B vs C): non-numeric cell 'x'"
 
     def test_bad_diagonal_cell_reports_position(self):
         with pytest.raises(ParseError, match=r"^line 3, column 3 \(B vs B\): non-numeric cell 'x'$"):
-            parse_tournament(",A,B\nA,,1\nB,0,x\n", fmt="csv")
+            parse_tournament(",A,B\nA,,1\nB,0,x\n")
 
     def test_label_mismatch(self):
         with pytest.raises(ParseError, match="do not match"):
-            parse_tournament(",A,B\nB,,1\nA,0,\n", fmt="csv")
+            parse_tournament(",A,B\nB,,1\nA,0,\n")
 
     def test_row_count_mismatch(self):
         with pytest.raises(ParseError, match="data rows"):
-            parse_tournament(",A,B,C\nA,,1,0\nB,0,,1\n", fmt="csv")
+            parse_tournament(",A,B,C\nA,,1,0\nB,0,,1\n")
 
     def test_a_header_longer_than_the_file_can_fill_allocates_no_matrix(self):
         # 40000 x 40000 floats are 12.8 GB: the text is too short to hold the
         # rows, so no matrix is allocated and the count is named, not a MemoryError
         header = "," + ",".join(f"P{k}" for k in range(40_000))
         with pytest.raises(ParseError) as excinfo:
-            parse_tournament(header + "\nP0,,1\nP1,0,\n", fmt="csv")
+            parse_tournament(header + "\nP0,,1\nP1,0,\n")
         assert str(excinfo.value) == "header names 40000 players but there are 2 data rows"
 
     def test_quoted_labels(self):
-        parsed = parse_tournament(
-            ',"Last, First",B\n"Last, First",,1\nB,0,\n', fmt="csv"
-        )
+        parsed = parse_tournament(',"Last, First",B\n"Last, First",,1\nB,0,\n')
         assert parsed.tournament.players == ("Last, First", "B")
 
     def test_lines_end_at_newline_alone(self):
         # a "\r" in a quoted label stays in it and "\u2028" ends no line;
         # CRLF rows and a blank line read as LF rows do
         text = ',"A\rB",C\u2028D\r\n\r\n"A\rB",,1\r\nC\u2028D,0,\r\n'
-        parsed = parse_tournament(text, fmt="csv")
+        parsed = parse_tournament(text)
         assert parsed.tournament.players == ("A\rB", "C\u2028D")
         assert np.array_equal(parsed.tournament.score_matrix, [[0, 1], [0, 0]])
 
@@ -492,10 +490,14 @@ class TestFormatSniffing:
         parsed = parse_tournament(",A,B\nA,,0.5\nB,0.5,\n")
         assert parsed.tournament.n == 2
 
-    def test_unknown_format_is_named(self):
-        with pytest.raises(ParseError) as excinfo:
-            parse_tournament(",A,B\nA,,1\nB,0,\n", "xml")
-        assert str(excinfo.value) == "unknown format 'xml'; expected 'json' or 'csv'"
+    def test_a_leading_bracket_reads_as_json(self, tmp_path):
+        # an array is JSON too, so its error is the JSON one, not a CSV shape error
+        path = tmp_path / "t"
+        path.write_text(" \n[1, 2]")
+        for parse in (lambda: parse_tournament("[1, 2]"), lambda: load_tournament(path)):
+            with pytest.raises(ParseError) as excinfo:
+                parse()
+            assert str(excinfo.value) == "top-level JSON value must be an object"
 
     def test_extension_wins_on_load(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -511,14 +513,11 @@ class TestFormatSniffing:
         expected = load_tournament(FIXTURES / source).tournament
         assert load_tournament(path).tournament == expected
 
-    @pytest.mark.parametrize("source, fmt", [("reference.json", None),
-                                             ("reference.json", "json"),
-                                             ("reference.csv", "csv")],
-                             ids=["sniffed", "json", "csv"])
-    def test_parse_drops_a_leading_byte_order_mark(self, source, fmt):
+    @pytest.mark.parametrize("source", ["reference.json", "reference.csv"], ids=["json", "csv"])
+    def test_parse_drops_a_leading_byte_order_mark(self, source):
         text = (FIXTURES / source).read_text(encoding="utf-8")
-        expected = parse_tournament(text, fmt).tournament
-        assert parse_tournament("\ufeff" + text, fmt).tournament == expected
+        expected = parse_tournament(text).tournament
+        assert parse_tournament("\ufeff" + text).tournament == expected
 
 
 class TestRoundTrip:
@@ -534,7 +533,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(62)
         for _ in range(10):
             t = random_tournament(rng, require_p1p2=False)
-            back = parse_tournament(tournament_to_csv(t), fmt="csv").tournament
+            back = parse_tournament(tournament_to_csv(t)).tournament
             assert back.players == t.players
             assert np.array_equal(back.score_matrix, t.score_matrix)
 

@@ -152,8 +152,9 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_scale(self, scale):
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(ValueError) as excinfo:
             RatingModel("elo", scale)
+        assert str(excinfo.value) == f"model scale must be finite and positive, got {scale}"
 
 
 class TestParseModel:

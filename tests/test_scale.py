@@ -165,7 +165,7 @@ def test_fixtures_agree(name, iterates):
 
 def test_csv_input_agrees():
     t = random_schedule(np.random.default_rng(7), 300, 1500)
-    back = parse_tournament(tournament_to_csv(t), fmt="csv").tournament
+    back = parse_tournament(tournament_to_csv(t)).tournament
     assert back == t
     assert_agrees(back, iterates=True)
 
