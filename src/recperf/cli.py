@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .diagnostics import (
     lopsided_pairs,
     spectral_diagnostics,
 )
-from .io import load_tournament, to_json, tournament_to_json
+from .io import _LabelGroups, _PlayerRows, load_tournament, to_json, tournament_to_json
 from .models import BoundaryScoreError, RatingModel, parse_model
 from .ranking import rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
@@ -58,12 +59,7 @@ def _model_spec(model: RatingModel) -> str:
     return f"{model.family}:{model.scale:g}"
 
 
-def _names(players: Sequence[str], groups) -> list[list[str]]:
-    """Each group of player indices as a list of labels."""
-    return [[players[i] for i in group] for group in groups]
-
-
-def _fmt_groups(groups: list[list[str]]) -> str:
+def _fmt_groups(groups: Iterable[list[str]]) -> str:
     return " | ".join("{" + ", ".join(group) + "}" for group in groups)
 
 
@@ -76,7 +72,7 @@ def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreErr
     """Word a P1 or boundary-score refusal with player labels; return its exit code."""
     if isinstance(exc, SingularSystemError):
         _note("P1 violated: tournament splits into independent groups: "
-              + _fmt_groups(_names(players, exc.components)))
+              + _fmt_groups(_LabelGroups(players, exc.components)))
         return EXIT_DISCONNECTED
     _note(f"boundary score: player {players[exc.player]} has average score "
           f"{exc.value:g}; offsets need scores strictly inside (0, 1)"
@@ -88,7 +84,7 @@ def diagnostics_to_dict(
     structure: StructureReport,
     lopsided: np.ndarray,
     spectral: SpectralReport | None,
-    players: Sequence[str],
+    players: tuple[str, ...],
 ) -> dict:
     """The report's diagnostics block, with label witnesses.
 
@@ -96,17 +92,17 @@ def diagnostics_to_dict(
     """
     doc = {
         "connected": structure.connected,
-        "components": _names(players, structure.components),
+        "components": _LabelGroups(players, structure.components),
         "nonbipartite": not structure.bipartite,
         "coloring": None
         if structure.coloring is None
-        else _names(players, structure.coloring),
+        else _LabelGroups(players, structure.coloring),
     }
     if spectral is not None:
         doc.update((key, getattr(spectral, key)) for key in (
             "lambda_2", "lambda_2_bound", "lambda_min", "lambda_min_bound",
             "multiplicity_one", "has_minus_one", "spectral_gap", "lanczos_steps"))
-    doc["lopsided_pairs"] = np.array(players, dtype=object)[lopsided].tolist()
+    doc["lopsided_pairs"] = _LabelGroups(players, lopsided)
     return doc
 
 
@@ -121,7 +117,7 @@ def _print_diagnostics(diag: dict) -> None:
         print(f"  bipartition: {_fmt_groups(diag['coloring'])}")
     lopsided = diag["lopsided_pairs"]
     if lopsided:
-        pairs = ", ".join(f"{a}-{b}" for a, b in lopsided[:SHOWN_PAIRS])
+        pairs = ", ".join(f"{a}-{b}" for a, b in islice(lopsided, SHOWN_PAIRS))
         if len(lopsided) > SHOWN_PAIRS:
             pairs = f"{len(lopsided)} pairs, the first {SHOWN_PAIRS}: {pairs}"
         print(f"lopsided pairs (one side took every point): {pairs}")
@@ -149,16 +145,11 @@ def _games_text(games: float) -> str:
     return f"{int(games)}" if games == int(games) else f"{games:g}"
 
 
-def _player_rows(players, d, initial, **columns: list) -> list[dict]:
-    """One report row per player in file order: games, average score and
-    initial rating, then one key per entry of `columns`."""
-    return [
-        {"player": label, "games": games, "avg_score": score,
-         "initial_rating": rating, **dict(zip(columns, extra))}
-        for label, games, score, rating, *extra in zip(
-            players, d.m.tolist(), d.s.tolist(), initial.tolist(), *columns.values()
-        )
-    ]
+def _player_rows(players, order, d, initial, **columns) -> _PlayerRows:
+    """Report rows of the players in `order`: games, average score and initial
+    rating, then one key per entry of `columns`, each indexed by player."""
+    return _PlayerRows(players, order, {"games": d.m, "avg_score": d.s,
+                                        "initial_rating": initial, **columns})
 
 
 # table title of each rating column a player row can carry
@@ -166,18 +157,24 @@ _RATING_TITLES = {"rating": "rating", "performance": "performance",
                   "recursive_performance": "recursive"}
 
 
-def _print_players(rows: list[dict]) -> None:
+def _cell(value: float, width: int, digits: int) -> str:
+    """`value` with `digits` decimals in `width` columns; in exponent form if it does not fit."""
+    text = f"{value:>{width}.{digits}f}"
+    return text if len(text) <= width else f"{value:>{width}.{digits}e}"
+
+
+def _print_players(rows: _PlayerRows) -> None:
     """The player table; a rank column leads when the rows carry one."""
-    ranked = "rank" in rows[0]
-    ratings = [key for key in rows[0] if key in _RATING_TITLES]
+    ranked = "rank" in rows.columns
+    ratings = [key for key in rows.columns if key in _RATING_TITLES]
     print(("rank  " if ranked else "")
           + f"{'player':<16}{'games':>7}  {'avg score':>9}  {'initial':>10}"
           + "".join(f"  {_RATING_TITLES[key]:>12}" for key in ratings))
     for row in rows:
         print((f"{row['rank']:>4}  " if ranked else "")
               + f"{row['player']:<16}{_games_text(row['games']):>7}  "
-              f"{row['avg_score']:>9.3f}  {row['initial_rating']:>10.1f}"
-              + "".join(f"  {row[key]:>12.3f}" for key in ratings))
+              f"{row['avg_score']:>9.3f}  {_cell(row['initial_rating'], 10, 1)}"
+              + "".join(f"  {_cell(row[key], 12, 3)}" for key in ratings))
 
 
 def cmd_rank(args: argparse.Namespace) -> dict | int:
@@ -193,7 +190,8 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
     if not structure.connected:
         return _refusal(t.players, SingularSystemError(structure.components))
     if args.method in ("iterative", "both") and structure.bipartite:
-        _note(f"P2 violated (bipartition {_fmt_groups(_names(t.players, structure.coloring))}): "
+        bipartition = _fmt_groups(_LabelGroups(t.players, structure.coloring))
+        _note(f"P2 violated (bipartition {bipartition}): "
               "the fixed-point iteration oscillates and cannot converge; "
               "use --method direct")
         return EXIT_NO_CONVERGENCE
@@ -216,9 +214,9 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
     primary = outcomes.get("direct") or outcomes["iterative"]
     tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
     ranking = rank_from_ratings(primary.ratings, tie_tol)
-    rows = _player_rows(t.players, d, parsed.initial_ratings,
-                        rating=primary.ratings.tolist(), rank=ranking.positions())
-    rows.sort(key=lambda row: (row["rank"], row["player"]))
+    order = [i for group in ranking.groups for i in sorted(group, key=t.players.__getitem__)]
+    rows = _player_rows(t.players, order, d, parsed.initial_ratings,
+                        rating=primary.ratings, rank=ranking.positions())
     del d  # the CSR arrays are not needed for the report; freed, they lower the memory peak
 
     solver: dict = {
@@ -237,7 +235,7 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
         "schema": REPORT_SCHEMA_VERSION,
         "model": _model_spec(model),
         "players": rows,
-        "ranking": ranking.labels(t.players),
+        "ranking": _LabelGroups(t.players, ranking.groups),
         "solver": solver,
         "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), None, t.players),
     }
@@ -283,18 +281,17 @@ def cmd_performance(args: argparse.Namespace) -> dict | int:
     d = timed("derive", derive, t)
     try:
         c = timed("solve", offsets, d, model)
-        columns = {"performance": timed(
-            "solve", performance, d, c, parsed.initial_ratings).tolist()}
+        columns = {"performance": timed("solve", performance, d, c, parsed.initial_ratings)}
         if args.compare:
             columns["recursive_performance"] = timed(
                 "solve", solve_direct, d, c, parsed.initial_ratings
-            ).ratings.tolist()
+            ).ratings
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(t.players, exc)
     return {
         "schema": REPORT_SCHEMA_VERSION,
         "model": _model_spec(model),
-        "players": _player_rows(t.players, d, parsed.initial_ratings, **columns),
+        "players": _player_rows(t.players, range(t.n), d, parsed.initial_ratings, **columns),
     }
 
 

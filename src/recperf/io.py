@@ -29,6 +29,8 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -254,10 +256,65 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     return ParsedTournament(tournament, np.zeros(n), False)
 
 
+@lru_cache(maxsize=1)
+def _encoded(players: tuple[str, ...]) -> tuple[str, ...]:
+    """Each label as `json.dumps` writes it; kept for the last players encoded."""
+    return tuple(map(encode_basestring_ascii, players))
+
+
+class _LabelGroups:
+    """Groups of player indices (index tuples, or the rows of a (k, w) array) that
+    read as lists of labels and are written to JSON from the labels' encodings."""
+
+    def __init__(self, players: tuple[str, ...], groups) -> None:
+        self.players, self.groups = players, groups
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return ([self.players[i] for i in group] for group in self.groups)
+
+    def json_text(self, indent: str) -> str:
+        enc = _encoded(self.players)
+        if isinstance(self.groups, np.ndarray):  # one format for all rows, no list per row
+            row = "[" + ", ".join(["%s"] * self.groups.shape[1]) + "]"
+            labels = tuple(np.array(enc, dtype=object)[self.groups].ravel().tolist())
+            return "[" + ", ".join([row] * len(self)) % labels + "]"
+        return "[" + ", ".join(["[" + ", ".join(map(enc.__getitem__, group)) + "]"
+                                for group in self.groups]) + "]"
+
+
+class _PlayerRows:
+    """Report rows held as columns indexed by player: the row of each i in `order`
+    is {"player": players[i], key: columns[key][i], ...}."""
+
+    def __init__(self, players: tuple[str, ...], order, columns: dict) -> None:
+        self.players, self.order, self.columns = players, order, columns
+
+    def __iter__(self) -> Iterator[dict]:
+        return ({"player": self.players[i], **{key: col[i] for key, col in self.columns.items()}}
+                for i in self.order)
+
+    def json_text(self, indent: str) -> str:
+        """A line per row, as `json.dumps(row)`; one `json.dumps` per column, split at
+        its ", " (no number's text holds one)."""
+        cells = [map(_encoded(self.players).__getitem__, self.order)]
+        cells += [json.dumps(np.asarray(col)[self.order].tolist())[1:-1].split(", ")
+                  for col in self.columns.values()]
+        keys = ["player", *self.columns]
+        row = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in keys) + "}}"
+        pad = "\n" + indent + "  "
+        return "[" + pad + ("," + pad).join(map(row.format, *cells)) + "\n" + indent + "]"
+
+
 def _json_pieces(value, indent: str = "") -> Iterator[str]:
-    """`value` as JSON in pieces, each one `json.dumps` call (the C encoder)."""
+    """`value` as JSON in pieces: one `json.dumps` call (the C encoder) or one column each."""
     head = value[0] if isinstance(value, list) and value else None
-    if isinstance(value, dict) and any(isinstance(v, (dict, list)) for v in value.values()):
+    if isinstance(value, (_LabelGroups, _PlayerRows)):
+        yield value.json_text(indent)
+    elif isinstance(value, dict) and any(
+            isinstance(v, (dict, list, _LabelGroups, _PlayerRows)) for v in value.values()):
         for k, (key, item) in enumerate(value.items()):
             yield ("{\n" if k == 0 else ",\n") + indent + "  " + json.dumps(key) + ": "
             yield from _json_pieces(item, indent + "  ")

@@ -4,8 +4,10 @@ These are the oracles behind the acceptance criteria: the games-weighted
 inner product and strength summary, relabeling a tournament, the power
 limit of Mbar, the centered offsets, the raw-vs-centered iteration gap,
 the consistency residual, the score ranking, comparison up to a constant
-shift, and CSV output for round trips, and the per-record check of JSON
-game records that `io`'s column check must agree with. None of them is on
+shift, and CSV output for round trips, the per-record check of JSON
+game records that `io`'s column check must agree with, and the JSON report
+layout spelled out one `json.dumps` call per piece, which `io`'s column
+rendering must match byte for byte. None of them is on
 the path of the command line, so they live with the tests rather than in
 the package.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -358,3 +361,32 @@ def match_records(matches: list) -> list[tuple[str, str, float]]:
             raise ParseError(f"match {k}: score_a must be a number")
         records.append((entry["a"], entry["b"], entry["score_a"]))
     return records
+
+
+def plain(value):
+    """A report with its row and label-group columns turned into lists and dicts."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)) or hasattr(value, "json_text"):
+        return [plain(item) for item in value]
+    return value
+
+
+def report_json(value, indent: str = "") -> str:
+    """A plain document as the reports lay it out, each piece one `json.dumps` call.
+
+    A dict that holds a dict or a list gets a line per key; a list of dicts
+    or of float lists gets a line per item; any other value, label lists
+    included, is one line. The whole document ends in a newline.
+    """
+    end = "" if indent else "\n"
+    pad = indent + "  "
+    if isinstance(value, dict) and any(isinstance(v, (dict, list)) for v in value.values()):
+        lines = [pad + json.dumps(key) + ": " + report_json(item, pad)
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(lines) + "\n" + indent + "}" + end
+    head = value[0] if isinstance(value, list) and value else None
+    if isinstance(head, dict) or isinstance(head, list) and all(type(x) is float for x in head):
+        lines = [pad + json.dumps(item) for item in value]
+        return "[\n" + ",\n".join(lines) + "\n" + indent + "]" + end
+    return json.dumps(value) + end

@@ -20,6 +20,7 @@ from recperf.cli import (
     EXIT_PARSE,
     main,
 )
+from reference import plain, report_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = str(FIXTURES / "reference.json")
@@ -296,27 +297,64 @@ print(json.dumps([codes, loaded]))
 ODD_LABELS = ['say "hi"', "back\\slash", 'x"], ["y', "two\nlines", "Zo\u00eb \u68cb"]
 
 
+def _odd_labels() -> dict:
+    # a ring of decisive games (odd cycle: P1 and P2 hold) plus draws across it
+    n = len(ODD_LABELS)
+    matches = [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 1) % n], "score_a": 1.0}
+               for k in range(n)]
+    matches += [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 2) % n], "score_a": 0.5}
+                for k in range(n)]
+    return {"players": ODD_LABELS, "matches": matches}
+
+
+def _seeded_schedule(n: int = 200, games: int = 1500) -> dict:
+    """A ring plus random pairings; one game in six decisive, so some pairs are lopsided."""
+    rng = np.random.default_rng(21)
+    names = [f"P{k}" for k in rng.permutation(n)]
+    first = np.concatenate([np.arange(n), rng.integers(0, n, games)])
+    second = np.concatenate([np.roll(np.arange(n), 1), rng.integers(0, n - 1, games)])
+    second[n:] += second[n:] >= first[n:]
+    score = rng.choice([0.0, 1.0, 0.25, 0.5, 0.75], first.size,
+                       p=[1 / 12, 1 / 12, 1 / 4, 1 / 3, 1 / 4])
+    return {"players": names, "matches": [
+        {"a": names[a], "b": names[b], "score_a": float(x)}
+        for a, b, x in zip(first.tolist(), second.tolist(), score)]}
+
+
+def _games(players, *records) -> dict:
+    return {"players": players,
+            "matches": [{"a": a, "b": b, "score_a": x} for a, b, x in records]}
+
+
+# inputs whose reports must be laid out exactly as `report_json` spells them
+LAYOUT_INPUTS = {
+    "odd_labels": _odd_labels(),
+    "no_lopsided_pair": _games(["C", "A", "B"],
+                               ("C", "A", 0.5), ("A", "B", 0.25), ("B", "C", 0.5)),
+    "one_lopsided_pair": _games(["C", "A", "B"],
+                                ("C", "A", 1.0), ("A", "B", 0.5), ("B", "C", 0.5)),
+    # one tie of four, whose labels sort opposite to their indices
+    "tie": _games(["z", "y", "x", "w"], ("z", "y", 0.5), ("y", "x", 0.5), ("x", "w", 0.5),
+                  ("w", "z", 0.5), ("z", "x", 0.5)),
+    "team_2v2": json.loads((FIXTURES / "team_2v2.json").read_text()),
+    "seeded_200": _seeded_schedule(),
+}
+
+
 class TestJsonLayout:
-    """A JSON report parses to the command's report dict, one player row a line."""
+    """A JSON report parses to the command's report, one player row a line."""
 
     @pytest.fixture
     def odd_labels(self, tmp_path):
-        # a ring of decisive games (odd cycle: P1 and P2 hold) plus draws across it
-        n = len(ODD_LABELS)
-        matches = [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 1) % n], "score_a": 1.0}
-                   for k in range(n)]
-        matches += [{"a": ODD_LABELS[k], "b": ODD_LABELS[(k + 2) % n], "score_a": 0.5}
-                    for k in range(n)]
         path = tmp_path / "odd.json"
-        path.write_text(json.dumps({"players": ODD_LABELS, "matches": matches}),
-                        encoding="utf-8")
+        path.write_text(json.dumps(_odd_labels()), encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("argv", [["rank", "--method", "both"], ["check", "--spectral"]])
     def test_report_parses_to_the_report_dict(self, capsys, odd_labels, argv):
         argv = [argv[0], odd_labels, *argv[1:], "--format", "json"]
         args = recperf.cli.build_parser().parse_args(argv)
-        report = args.func(args)
+        report = plain(args.func(args))
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out) == report
@@ -326,6 +364,27 @@ class TestJsonLayout:
         [pairs] = [line.partition(": ")[2] for line in out.splitlines()
                    if line.startswith('    "lopsided_pairs": ')]
         assert json.loads(pairs.rstrip(",")) == report["diagnostics"]["lopsided_pairs"]
+
+    @pytest.mark.parametrize("command", ["rank --method both", "check --spectral",
+                                         "performance --compare"])
+    @pytest.mark.parametrize("source", LAYOUT_INPUTS)
+    def test_report_matches_the_layout_oracle(self, capsys, tmp_path, source, command):
+        name, *rest = command.split()
+        if source == "team_2v2" and name == "rank":
+            rest = ["--method", "direct"]  # bipartite: the iteration is refused
+        path = tmp_path / "games.json"
+        path.write_text(json.dumps(LAYOUT_INPUTS[source]), encoding="utf-8")
+        argv = [name, str(path), *rest, "--format", "json"]
+        args = recperf.cli.build_parser().parse_args(argv)
+        report = plain(args.func(args))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == report_json(report)
+        rows = report.get("players", [])
+        if name == "rank":  # by rank, a tie's members by label
+            assert rows == sorted(rows, key=lambda row: (row["rank"], row["player"]))
+        elif name == "performance":  # in file order
+            assert [row["player"] for row in rows] == LAYOUT_INPUTS[source]["players"]
 
     def test_reports_are_written_in_a_few_batches(self, monkeypatch):
         # one write per piece would be one system call each when stdout is unbuffered
@@ -689,6 +748,29 @@ A                     2      0.750         0.0       190.849       127.232
 B                     2      0.500         0.0         0.000        -0.000
 C                     2      0.250         0.0      -190.849      -127.232
 """,
+    # a rating too wide for its column prints in exponent form
+    "rank team_2v2.json --model elo:1e200": """\
+model elo:1e+200   method direct
+P1 connected comparison graph: OK
+P2 non-bipartite comparison graph: VIOLATED
+  bipartition: {A, B} | {C, D}
+
+rank  player            games  avg score     initial        rating
+   1  A                     2      0.700         0.0    2.569e+199
+   2  D                     2      0.500         0.0    1.220e+199
+   3  B                     2      0.550         0.0   -2.388e+198
+   4  C                     2      0.250         0.0   -3.551e+199
+
+method direct: iterations 0, residual <num>, conserved total <num>
+""",
+    "performance team_2v2.json --compare --model elo:1e200": """\
+model elo:1e+200
+player            games  avg score     initial   performance     recursive
+A                     2      0.700         0.0    3.680e+199    2.569e+199
+B                     2      0.550         0.0    8.715e+198   -2.388e+198
+C                     2      0.250         0.0   -4.771e+199   -3.551e+199
+D                     2      0.500         0.0         0.000    1.220e+199
+""",
 }
 
 GOLDEN_LOPSIDED = """\
@@ -749,6 +831,21 @@ class TestGoldenOutput:
         assert out == GOLDEN_LOPSIDED
         code, out, _ = run(capsys, "check", str(path), "--format", "json")
         assert len(json.loads(out)["diagnostics"]["lopsided_pairs"]) == 13
+
+    def test_table_prints_a_wide_initial_rating_in_exponent_form(self, capsys, tmp_path):
+        doc = json.loads(Path(REFERENCE).read_text())
+        doc["initial_ratings"] = [1e12, -3e9, 5.5]
+        path = tmp_path / "rated.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "performance", str(path), "--compare")
+        assert code == EXIT_OK
+        assert out == """\
+model elo:400
+player            games  avg score     initial   performance     recursive
+A                     2      0.750     1.0e+12    -1.500e+09     3.323e+11
+B                     2      0.500    -3.0e+09     5.000e+11     3.323e+11
+C                     2      0.250         5.5     4.985e+11     3.323e+11
+"""
 
     @pytest.mark.parametrize("command", GOLDEN_REFUSALS)
     def test_refusal(self, capsys, command):
