@@ -28,7 +28,7 @@ from .diagnostics import (
 )
 from .io import _LabelGroups, _PlayerRows, load_tournament, to_json, tournament_to_json
 from .models import BoundaryScoreError, RatingModel, parse_model
-from .ranking import rank_from_ratings
+from .ranking import _check_tie_tol, rank_from_ratings
 from .simulate import Schedule, SimulationConfig, simulate_tournament
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -36,6 +36,7 @@ from .solver import (
     ConvergenceError,
     SingularSystemError,
     SolveOutcome,
+    _check_limits,
     iterate,
     offsets,
     performance,
@@ -178,19 +179,25 @@ def _print_players(rows: _PlayerRows) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> dict | int:
-    model = parse_model(args.model)  # before the input, so a bad model costs no parse
+    model = parse_model(args.model)  # the flags before the input, so a bad one costs no parse
+    if args.method != "direct":
+        _check_limits(args.tol, args.max_iter)
+    tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
+    _check_tie_tol(tie_tol)
     parsed = timed("parse", load_tournament, args.input)
     t = parsed.tournament
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player "
               "(the ranking does not depend on this choice)")
     d = timed("derive", derive, t)
+    players, initial, lopsided = t.players, parsed.initial_ratings, lopsided_pairs(t)
+    del parsed, t  # the Tournament's pairs would stack on the BFS and the solve
     structure = timed("structure", check_structure, d)
 
     if not structure.connected:
-        return _refusal(t.players, SingularSystemError(structure.components))
+        return _refusal(players, SingularSystemError(structure.components))
     if args.method in ("iterative", "both") and structure.bipartite:
-        bipartition = _fmt_groups(_LabelGroups(t.players, structure.coloring))
+        bipartition = _fmt_groups(_LabelGroups(players, structure.coloring))
         _note(f"P2 violated (bipartition {bipartition}): "
               "the fixed-point iteration oscillates and cannot converge; "
               "use --method direct")
@@ -200,22 +207,17 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
         c = timed("solve", offsets, d, model, clamp_scores=args.clamp_scores)
         outcomes: dict[str, SolveOutcome] = {}
         if args.method in ("direct", "both"):
-            outcomes["direct"] = timed(
-                "solve", solve_direct, d, c, parsed.initial_ratings, structure=structure,
-            )
+            outcomes["direct"] = timed("solve", solve_direct, d, c, initial, structure=structure)
         if args.method in ("iterative", "both"):
-            outcomes["iterative"] = timed(
-                "solve", iterate, d, c, parsed.initial_ratings,
-                tol=args.tol, max_iter=args.max_iter,
-            )
+            outcomes["iterative"] = timed("solve", iterate, d, c, initial,
+                                          tol=args.tol, max_iter=args.max_iter)
     except BoundaryScoreError as exc:
-        return _refusal(t.players, exc, clamp_hint=not args.clamp_scores)
+        return _refusal(players, exc, clamp_hint=not args.clamp_scores)
 
     primary = outcomes.get("direct") or outcomes["iterative"]
-    tie_tol = args.tie_tol if args.tie_tol is not None else 1e-6 * model.scale
     ranking = rank_from_ratings(primary.ratings, tie_tol)
-    order = [i for group in ranking.groups for i in sorted(group, key=t.players.__getitem__)]
-    rows = _player_rows(t.players, order, d, parsed.initial_ratings,
+    order = [i for group in ranking.groups for i in sorted(group, key=players.__getitem__)]
+    rows = _player_rows(players, order, d, initial,
                         rating=primary.ratings, rank=ranking.positions())
     del d  # the CSR arrays are not needed for the report; freed, they lower the memory peak
 
@@ -228,16 +230,14 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
     if len(outcomes) == 2:
         it = outcomes["iterative"]
         solver["iterative"] = {"iterations": it.iterations, "residual": it.residual}
-        solver["max_method_delta"] = float(
-            np.abs(outcomes["direct"].ratings - it.ratings).max()
-        )
+        solver["max_method_delta"] = float(np.abs(outcomes["direct"].ratings - it.ratings).max())
     return {
         "schema": REPORT_SCHEMA_VERSION,
         "model": _model_spec(model),
         "players": rows,
-        "ranking": _LabelGroups(t.players, ranking.groups),
+        "ranking": _LabelGroups(players, ranking.groups),
         "solver": solver,
-        "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), None, t.players),
+        "diagnostics": diagnostics_to_dict(structure, lopsided, None, players),
     }
 
 
@@ -262,13 +262,15 @@ def _print_rank(doc: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> dict:
     t = timed("parse", load_tournament, args.input).tournament
     d = timed("derive", derive, t)
+    players, lopsided = t.players, lopsided_pairs(t)
+    del t  # the Tournament's pairs would stack on the BFS and the spectrum
     structure = timed("structure", check_structure, d)
     spectral = (timed("spectral", spectral_diagnostics, d, structure=structure)
                 if args.spectral else None)
     del d  # else the CSR arrays stay alive while the report is built, the memory peak
     return {
         "schema": CHECK_SCHEMA_VERSION,
-        "diagnostics": diagnostics_to_dict(structure, lopsided_pairs(t), spectral, t.players),
+        "diagnostics": diagnostics_to_dict(structure, lopsided, spectral, players),
     }
 
 
@@ -279,19 +281,19 @@ def cmd_performance(args: argparse.Namespace) -> dict | int:
     if not parsed.ratings_supplied:
         _note("note: no initial ratings in file; using 0 for every player")
     d = timed("derive", derive, t)
+    players, initial = t.players, parsed.initial_ratings
+    del parsed, t  # the Tournament's pairs would stack on the solve
     try:
         c = timed("solve", offsets, d, model)
-        columns = {"performance": timed("solve", performance, d, c, parsed.initial_ratings)}
+        columns = {"performance": timed("solve", performance, d, c, initial)}
         if args.compare:
-            columns["recursive_performance"] = timed(
-                "solve", solve_direct, d, c, parsed.initial_ratings
-            ).ratings
+            columns["recursive_performance"] = timed("solve", solve_direct, d, c, initial).ratings
     except (SingularSystemError, BoundaryScoreError) as exc:
-        return _refusal(t.players, exc)
+        return _refusal(players, exc)
     return {
         "schema": REPORT_SCHEMA_VERSION,
         "model": _model_spec(model),
-        "players": _player_rows(t.players, range(t.n), d, parsed.initial_ratings, **columns),
+        "players": _player_rows(players, range(d.n), d, initial, **columns),
     }
 
 

@@ -29,6 +29,11 @@ class Ranking:
         return pos
 
 
+def _check_tie_tol(tie_tol: float) -> None:
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
+
+
 def rank_from_ratings(ratings: np.ndarray, tie_tol: float) -> Ranking:
     """Sort descending and merge near-ties transitively.
 
@@ -41,8 +46,7 @@ def rank_from_ratings(ratings: np.ndarray, tie_tol: float) -> Ranking:
         raise ValueError(f"expected a non-empty rating vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("ratings must be finite")
-    if not tie_tol >= 0:
-        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
+    _check_tie_tol(tie_tol)
     order = np.argsort(-x, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]
     for prev, cur in zip(order, order[1:]):

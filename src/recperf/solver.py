@@ -161,6 +161,13 @@ def performance(d: DerivedMatrices, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return d.mbar_dot(r) + _finite(c, d, "offsets", "offsets")
 
 
+def _check_limits(tol: float | None, max_iter: int) -> None:
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
             tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
             record_trace: bool = False) -> SolveOutcome:
@@ -189,10 +196,7 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
     chat = _centered(d, c)
     if tol is None:
         tol = DEFAULT_SOLVE_TOL * max(1.0, float(np.abs(chat).max()))
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_limits(tol, max_iter)
     rho = float(d.shares @ r)
     with np.errstate(over="ignore"):
         y = r - rho

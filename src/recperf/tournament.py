@@ -247,17 +247,21 @@ def derive(t: Tournament) -> DerivedMatrices:
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     order = np.argsort(rows, kind="stable")
     del rows
+    # At most three 2·pairs arrays are alive, weights and order among them: each
+    # entry is divided by its row's m before the gather, and order takes the opponents
+    weights = np.empty(2 * t.i.size)
+    np.divide(pair_games, m[t.j], out=weights[:t.i.size])
+    np.divide(pair_games, m[t.i], out=weights[t.i.size:])
+    del pair_games
+    weights = weights[order]
     # intp, not int32: gathering x[indices] with int32 indices converts
     # them on every call, which the iteration makes tens of thousands of
-    indices = np.concatenate([t.i, t.j])[order].astype(np.intp)
-    weights = np.take(pair_games, order, mode="wrap")
-    del order
-    weights /= np.repeat(m, np.diff(indptr))
+    order[:] = np.concatenate([t.i, t.j])[order]
     return DerivedMatrices(
         m=_frozen(m),
         shares=_frozen(m / m.sum()),
         s=_frozen(s),
         indptr=_frozen(indptr, np.intp),
-        indices=_frozen(indices, np.intp),
+        indices=_frozen(order, np.intp),
         weights=_frozen(weights),
     )

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,29 @@ class TestSinglePass:
         code, _, _ = run(capsys, argv[0], REFERENCE, *argv[1:])
         assert code == EXIT_OK
         assert len(quantiles) == 3  # one per player of the reference tournament
+
+    @pytest.mark.parametrize("argv", [["rank", "--method", "both"], ["check", "--spectral"],
+                                      ["performance", "--compare"]], ids=" ".join)
+    def test_no_tournament_outlives_derive(self, capsys, monkeypatch, argv):
+        # the traversal, the spectrum and the solve work from the CSR alone
+        loaded, alive = [], []
+        load, check = recperf.cli.load_tournament, diagnostics.check_structure
+
+        def loading(path):
+            parsed = load(path)
+            loaded.append(weakref.ref(parsed.tournament))
+            return parsed
+
+        def checking(d):
+            alive.extend(ref() is not None for ref in loaded)
+            return check(d)
+
+        monkeypatch.setattr(recperf.cli, "load_tournament", loading)
+        for module in (recperf.cli, diagnostics):
+            monkeypatch.setattr(module, "check_structure", checking)
+        code, _, _ = run(capsys, argv[0], REFERENCE, *argv[1:])
+        assert code == EXIT_OK
+        assert alive == [False]
 
 
 class TestTimings:
@@ -654,11 +678,19 @@ class TestUsage:
         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
         ("--max-iter", "0"), ("--max-iter", "-3"), ("--tie-tol", "nan"),
     ])
-    def test_bad_numeric_option_exits_2(self, capsys, option, value):
-        code, out, err = run(capsys, "rank", REFERENCE, "--method", "iterative", option, value)
-        assert code == EXIT_PARSE
-        assert option[2:].replace("-", "_") in err
-        assert out == ""
+    def test_bad_numeric_option_exits_2(self, capsys, tmp_path, option, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        for path in (REFERENCE, str(bad)):  # the flags are checked before the input is read
+            code, out, err = run(capsys, "rank", path, "--method", "iterative", option, value)
+            assert code == EXIT_PARSE and out == ""
+            assert err.startswith(f"error: {option[2:].replace('-', '_')} must be")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("option, value", [("--tol", "nan"), ("--max-iter", "0")])
+    def test_the_direct_method_ignores_the_iteration_flags(self, capsys, option, value):
+        code, _, _ = run(capsys, "rank", REFERENCE, "--method", "direct", option, value)
+        assert code == EXIT_OK
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

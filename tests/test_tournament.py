@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,9 @@ from recperf import (
     derive,
 )
 
-from conftest import random_tournament
+from conftest import random_round_robin, random_tournament
 from reference import mbar_dense, permute_tournament, strength_summary, weighted_inner
+from test_scale import random_schedule
 
 
 class TestBuildTournament:
@@ -148,6 +150,50 @@ class TestDerive:
         t = random_tournament(rng, require_p1p2=False)
         d = derive(t)
         assert float(d.m @ d.s) == pytest.approx(t.score_matrix.sum(), rel=1e-12)
+
+
+class TestDerivedCSR:
+    """The CSR bit for bit: each row's opponents are the nonzero columns of
+    M = A + Aᵀ in ascending order, and its weights are M[r, c] / m[r]."""
+
+    @staticmethod
+    def assert_exact(t: Tournament) -> None:
+        d = derive(t)
+        games = t.score_matrix + t.score_matrix.T
+        assert d.indices.dtype == np.intp
+        for r in range(t.n):
+            row = slice(d.indptr[r], d.indptr[r + 1])
+            opponents = np.flatnonzero(games[r])
+            assert np.array_equal(d.indices[row], opponents)
+            assert np.array_equal(d.weights[row], games[r, opponents] / d.m[r])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_schedules(self, seed):
+        self.assert_exact(random_tournament(np.random.default_rng(seed), require_p1p2=False))
+
+    def test_a_complete_crosstable(self):
+        self.assert_exact(random_round_robin(np.random.default_rng(0), 300))
+
+    def test_two_players(self):
+        self.assert_exact(build_tournament(["A", "B"], [("A", "B", 0.25), ("B", "A", 1.0)]))
+
+    @pytest.mark.parametrize("schedule", [lambda rng: random_round_robin(rng, 300),
+                                          lambda rng: random_schedule(rng, 2000, 40_000)],
+                             ids=["complete", "sparse"])
+    def test_the_working_set_is_the_outputs_and_one_scratch(self, schedule):
+        t = schedule(np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            d = derive(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (d.m, d.shares, d.s, d.indptr, d.indices, d.weights))
+        scratch = 8 * 2 * t.i.size  # one float or intp entry per CSR entry
+        # the slack covers numpy's cast buffers and the n-sized arrays (67 kB on
+        # the crosstable); one more array of 4 bytes a pair (179 kB and 166 kB
+        # here) would not fit in it
+        assert peak <= outputs + scratch + 128 * 1024
 
 
 class TestWeightedInner:
