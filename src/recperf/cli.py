@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--spectral", action="store_true",
                        help="add lambda_2 and lambda_min of Mbar with their error "
                        "bounds (deflated Lanczos), the spectral verdicts and the "
-                       "convergence prognosis")
+                       "spectral gap; the table also estimates the fixed-point "
+                       f"iterations to {DEFAULT_SOLVE_TOL:g} from that gap")
     check.set_defaults(func=cmd_check,
                        table=lambda doc: _print_diagnostics(doc["diagnostics"]))
 

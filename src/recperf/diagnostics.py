@@ -12,10 +12,12 @@ The traversal walks the CSR adjacency of `derive` one BFS level at a time,
 in O(n + pairs). The spectral check needs only the extremes of the
 spectrum, lambda_2 and lambda_min, once the unit eigenvalues the BFS
 predicts are deflated; Lanczos in the games-weighted inner product finds
-them through the same CSR kernel in O(k * pairs + k^2 * n) time for k
-steps, with k capped so that its basis stays under 64 MB. The basis is
-reserved at that cap in one array, but only the k rows written become
-resident, so memory in use is O(k * n). Only `check --spectral` runs it.
+them through the same CSR kernel. A step costs one CSR product and one
+reorthogonalization pass (two reads of the k rows so far): O(k * pairs +
+k^2 * n) time for k steps, with k capped so that the basis stays under
+64 MB. The basis holds 8 rows until a run passes its first check, at step
+8, and then the whole cap, of which only the k rows written become
+resident: memory in use is O(k * n). Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -184,8 +186,9 @@ def spectral_diagnostics(d: DerivedMatrices, *,
     eigenvalue counts as 1 or -1 within tol = 64 * n * eps. The vector
     constant on each BFS component of `structure` (computed here when not
     given) is deflated once Mbar is seen to fix it within tol.
-    Lanczos then runs on the rest from a fixed-seed start, orthogonalized
-    twice (CGS2) against its basis and the deflated vectors. Every few
+    Lanczos then runs on the rest from a fixed-seed start: each step
+    takes the three-term recurrence, then deflates once and makes one
+    classical Gram-Schmidt pass against its basis. Every few
     steps (a geometric schedule) the k x k tridiagonal is solved; the run
     stops when the residual estimates of the top and bottom Ritz values
     are within tol, on breakdown, or when the basis would pass
@@ -221,23 +224,24 @@ def spectral_diagnostics(d: DerivedMatrices, *,
     v = _start_vector(n)
     deflate(v)
     deflate(v)
-    v /= norm(v)
     space = n - units.size  # the dimension left once the unit vectors are deflated
     limit = min(space, max(1, _BASIS_BYTES // (8 * n)))
-    # one vector a row; the rows past those written are never touched, so
-    # they take address space but no resident memory
-    basis = np.empty((limit, n))
-    alphas = np.zeros(limit)
+    basis = np.empty((min(limit, 8), n))  # one vector a row; the first check is at step 8
+    np.divide(v, norm(v), out=basis[0])
+    alphas = np.empty(limit)
     betas = np.empty(limit)
     check = 8
     for k in range(1, limit + 1):
-        basis[k - 1] = v
+        v = basis[k - 1]
         w = d.mbar_dot(v)
-        for _ in range(2):
-            deflate(w)
-            h = basis[:k] @ (d.shares * w)
-            w -= h @ basis[:k]
-            alphas[k - 1] += h[-1]
+        if k > 1:
+            w -= betas[k - 2] * basis[k - 2]
+        alpha = d.shares @ (v * w)
+        w -= alpha * v
+        deflate(w)
+        h = basis[:k] @ (d.shares * w)  # one full reorthogonalization pass
+        w -= h @ basis[:k]
+        alphas[k - 1] = alpha + h[-1]
         beta = norm(w)
         if beta <= tol or k == limit or k == check:
             tridiagonal = np.zeros((k, k))
@@ -255,8 +259,12 @@ def spectral_diagnostics(d: DerivedMatrices, *,
             if settled or k == limit:
                 break
             check = k + k // 4
+        if k == len(basis):  # past the first check: reserve the budget, once
+            grown = np.empty((limit, n))
+            grown[:k] = basis
+            basis = grown
         betas[k - 1] = beta
-        v = w / beta
+        np.divide(w, beta, out=basis[k])
 
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
     ritz = s[:, [top, 0]].T @ basis[:k]
@@ -287,13 +295,13 @@ def spectral_diagnostics(d: DerivedMatrices, *,
 
 
 def lopsided_pairs(t: Tournament) -> np.ndarray:
-    """Pairs that played where one side took every point: a read-only (k, 2) intp array, row-major.
+    """Pairs that played where one side took every point: a read-only row-major (k, 2) int32 array.
 
     Such pairs fall outside the interior-score side condition of the
     convergence statement; they are a warning, never an error, because
     convergence itself needs only P1 and P2.
     """
     mask = (t.a_ij == 0) | (t.a_ji == 0)
-    pairs = np.stack([t.i[mask], t.j[mask]], axis=1, dtype=np.intp)
+    pairs = np.stack([t.i[mask], t.j[mask]], axis=1, dtype=np.int32)
     pairs.flags.writeable = False
     return pairs

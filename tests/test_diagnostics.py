@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from recperf import (
 )
 from recperf.diagnostics import UNRESOLVED
 
-from conftest import forced_bipartite, forced_disconnected, random_tournament
+from conftest import forced_bipartite, forced_disconnected, random_round_robin, random_tournament
 from reference import limit_power_check, mbar_dense, permute_tournament
 
 
@@ -97,6 +99,21 @@ class TestSpectral:
         assert 0.0 <= report.lambda_min_bound <= 1e-12
         assert report.lanczos_steps == 1  # the complement of the constants is one eigenspace
 
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_a_short_run_reserves_no_budget(self, n):
+        # on a complete round robin Mbar is -I/(n-1) once the constants are
+        # deflated, so Lanczos breaks down at step 1; a basis reserved at the
+        # budget (n - 1 rows here) would trace as much as the CSR weights
+        d = derive(random_round_robin(np.random.default_rng(n), n))
+        structure = check_structure(d)
+        tracemalloc.start()
+        try:
+            report = spectral_diagnostics(d, structure=structure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.lanczos_steps == 1
+        assert peak < 1.5 * 8 * d.indices.size
 
     @pytest.mark.parametrize("factor", [1e300, 1e-300, 1e-315])
     @pytest.mark.parametrize("shape", ["crosstable", "sparse"])
@@ -207,7 +224,7 @@ class TestLopsidedPairs:
             pairs = lopsided_pairs(t)
             assert tuple(map(tuple, pairs.tolist())) == expected
             assert pairs.shape == (len(expected), 2)
-            assert pairs.dtype == np.intp
+            assert pairs.dtype == np.int32
             assert not pairs.flags.writeable
 
 
