@@ -25,13 +25,9 @@ the games-weighted inner product.
 
 Both methods, and the one-shot performance, apply Mbar through a single
 kernel over the CSR adjacency of `derive`, so a step costs O(pairs). On a
-small schedule that mixes slowly the iteration also takes whole blocks of
-256 steps, then of 16, by one product with the dense Mbar^256 or Mbar^16,
-built once the contraction the plain steps show predicts more steps than
-the build costs (`iterate` says when). It holds n^2 floats three times,
-within _BLOCK_BYTES, and keeps the iterates and the stop step of the
-plain loop up to rounding. The iteration runs on the deviation from the
-conserved games-weighted mean, so large ratings round like small ones.
+small schedule that mixes slowly the iteration also takes blocks of steps by
+products with the dense Mbar^256 and Mbar^16 (`iterate` says when). Both
+solvers run on the deviation from the conserved games-weighted mean.
 """
 
 from __future__ import annotations
@@ -106,8 +102,9 @@ class SolveOutcome:
     """A pinned rating vector plus how it was obtained.
 
     `pinned_total` is sum(m_i ratings_i), which matches the total strength
-    of the initial ratings. `trace` holds every iterate when recording was
-    requested (iterative method only).
+    of the initial ratings. `iterations` counts fixed-point steps, or for
+    the direct method conjugate-gradient iterations. `trace` holds every
+    iterate when recording was requested (iterative method only).
     """
 
     ratings: np.ndarray
@@ -221,14 +218,7 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
             # |y|_inf only once the step stalls: on every step it would slow small schedules
             if step < tol or (step >= last
                               and step <= _ROUNDING * float(np.abs(current).max())):
-                return SolveOutcome(
-                    ratings=current + rho,
-                    method="iterative",
-                    iterations=iteration,
-                    residual=float(np.abs(current - (d.mbar_dot(current) + chat)).max()),
-                    pinned_total=float(d.m @ (current + rho)),
-                    trace=tuple(trace) if trace is not None else None,
-                )
+                return _outcome(d, chat, rho, "iterative", current, iteration, trace=trace)
             if iteration % _WINDOW == 0:
                 left = (_WINDOW * math.log(step / tol) / math.log(window / step)
                         if window > step else math.inf)
@@ -294,7 +284,7 @@ def _skip_blocks(p: np.ndarray, q: np.ndarray, k: int, xd: np.ndarray, step: flo
     return xd, step, iteration
 
 
-def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
+def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Solve (I - Mbar) y = chat, with shares @ y = 0, by CG in the shares inner product.
 
     I - Mbar is self-adjoint and semidefinite in sum(shares_i a_i b_i), so
@@ -307,14 +297,15 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
     0, every update lies in the weighted complement of e, which a final
     projection restores against rounding. Raises ConvergenceError after
     10 n iterations, or sooner if rounding leaves a direction of
-    non-positive curvature.
+    non-positive curvature. Returns y, the iterations and the residual of
+    the last stop check.
 
-    CG runs on chat / u, u the power of two just above |chat|_inf: unscaled,
+    CG runs on chat / u, u the power of two at or below |chat|_inf: unscaled,
     its squared residuals overflow once |chat|_inf passes about 1e154, and
     a power of two scales exactly, so no result that fits in range moves.
     """
     top = float(np.abs(chat).max())
-    u = math.ldexp(1.0, math.frexp(top)[1])  # 1 when chat = 0
+    u = math.ldexp(1.0, math.frexp(top)[1] - 1)  # 1/2 when chat = 0
     floor = 1e-13 * max(1.0, top) / u
     chat = chat / u
     y = np.zeros(d.n)
@@ -341,7 +332,8 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> np.ndarray:
             iterations += 1
         res = chat - (y - d.mbar_dot(y))
     y -= d.shares @ y
-    return y * u
+    with np.errstate(over="ignore"):  # ratings past the float range, which _outcome refuses
+        return y * u, iterations, float(np.abs(res).max()) * u
 
 
 def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
@@ -362,17 +354,27 @@ def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None,
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d)
     chat = _centered(d, c)
-    y = _conjugate_gradients(d, chat)
-    # taken on y: x carries the rounding of rho, which large ratings make large
-    residual = float(np.abs((y - d.mbar_dot(y)) - chat).max())
-    x = y + float(d.shares @ r)
-    return SolveOutcome(
-        ratings=x,
-        method="direct",
-        iterations=0,
-        residual=residual,
-        pinned_total=float(d.m @ x),
-    )
+    return _outcome(d, chat, float(d.shares @ r), "direct", *_conjugate_gradients(d, chat))
+
+
+def _outcome(d: DerivedMatrices, chat: np.ndarray, rho: float, method: str, y: np.ndarray,
+             iterations: int, residual: float | None = None,
+             trace: list[np.ndarray] | None = None) -> SolveOutcome:
+    """The SolveOutcome of ratings y + rho; ValueError if they pass the float range.
+
+    Unless the solve measured its own, the residual is taken on y, free of
+    the rounding of rho. The total is summed over x / 2^k, 2^k >= |x|_inf,
+    and scaled back: exact, with no partial sum to overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = y + rho
+        if residual is None:
+            residual = float(np.abs(y - (d.mbar_dot(y) + chat)).max())
+        k = math.frexp(float(np.abs(x).max()))[1]
+        total = float(np.ldexp(d.m @ np.ldexp(x, -k), k))
+    if not (math.isfinite(total) and math.isfinite(residual)):
+        raise ValueError("ratings past the float range: the model scale is too large")
+    return SolveOutcome(x, method, iterations, residual, total, tuple(trace) if trace else None)
 
 
 def _finite(v: np.ndarray, d: DerivedMatrices, noun: str, name: str) -> np.ndarray:
@@ -392,8 +394,6 @@ def _as_vector(r: np.ndarray | None, d: DerivedMatrices) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(d.m @ r)
     if not np.isfinite(total):
-        raise ValueError(
-            "initial_ratings too large: their games-weighted total "
-            "sum(m_i r_i) is not finite"
-        )
+        raise ValueError("initial_ratings too large: their games-weighted total "
+                         "sum(m_i r_i) is not finite")
     return r

@@ -82,12 +82,15 @@ class TestRank:
 
     @pytest.mark.parametrize("method", ["direct", "both"])
     def test_a_huge_model_scale_solves(self, capsys, method):
-        # the offsets reach 1e200: squared, CG's residuals would overflow
-        code, out, _ = run(capsys, "rank", REFERENCE, "--model", "elo:1e200",
-                           "--method", method, "--format", "json")
-        assert code == EXIT_OK
-        by_player = {row["player"]: row["rating"] for row in json.loads(out)["players"]}
-        assert by_player["A"] == pytest.approx(127.2323 / 400 * 1e200, rel=1e-6)
+        # the offsets reach 1e200: squared, CG's residuals would overflow; at
+        # 1e308 a power of two just above them would overflow too
+        for model, rating in [("elo:1e200", 127.2323 / 400 * 1e200),
+                              ("logistic:1e308", 2 / 3 * np.log(3.0) * 1e308)]:
+            code, out, _ = run(capsys, "rank", REFERENCE, "--model", model,
+                               "--method", method, "--format", "json")
+            assert code == EXIT_OK
+            by_player = {row["player"]: row["rating"] for row in json.loads(out)["players"]}
+            assert by_player["A"] == pytest.approx(rating, rel=1e-6)
 
     def test_disconnected_exit_code(self, capsys):
         code, _, err = run(capsys, "rank", str(FIXTURES / "disconnected.json"))
@@ -141,6 +144,44 @@ class TestRank:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "rank", "no-such-file.json")
         assert code == EXIT_PARSE
+
+
+def strict_json(text):
+    """The report parsed, or ValueError if it holds NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestFloatRange:
+    LADDER = str(FIXTURES / "ladder.json")
+
+    @pytest.mark.parametrize("method", ["direct", "iterative", "both"])
+    def test_a_total_whose_partial_sums_overflow_is_reported(self, capsys, method):
+        # ratings near 1e308 overflowed sum(m_i x_i) term by term: NaN, though the total is finite
+        code, out, _ = run(capsys, "rank", self.LADDER, "--model", "elo:1e306",
+                           "--method", method, "--format", "json")
+        assert code == EXIT_OK
+        assert abs(strict_json(out)["solver"]["pinned_total"]) < 1e306
+
+    @pytest.mark.parametrize("argv", [["rank", "--method", "direct"],
+                                      ["rank", "--method", "iterative"],
+                                      ["rank", "--method", "both"],
+                                      ["performance", "--compare"]])
+    def test_ratings_past_the_float_range_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], self.LADDER, *argv[1:],
+                             "--model", "elo:1.7e308", "--format", "json")
+        assert code == EXIT_PARSE and out == ""
+        assert err.endswith("\nerror: ratings past the float range: the model scale is too large\n")
+
+    @pytest.mark.parametrize("model", ["logistic:1e308", "gaussian:1.7e308"])
+    @pytest.mark.parametrize("fixture", ["reference.json", "team_2v2.json"])
+    @pytest.mark.parametrize("argv", [["rank", "--method", "direct"], ["performance", "--compare"]])
+    def test_a_scale_at_the_float_limit_solves(self, capsys, model, fixture, argv):
+        code, out, _ = run(capsys, argv[0], str(FIXTURES / fixture), *argv[1:],
+                           "--model", model, "--format", "json")
+        assert code == EXIT_OK
+        strict_json(out)
 
 
 class TestCheck:
@@ -725,7 +766,7 @@ rank  player            games  avg score     initial        rating
    2  B                     2      0.500         0.0        -0.000
    3  C                     2      0.250         0.0      -127.232
 
-method direct: iterations 0, residual <num>, conserved total <num>
+method direct: iterations 1, residual <num>, conserved total <num>
 method iterative: iterations 34, residual <num>
 max |direct - iterative| = <num>
 """,
@@ -741,7 +782,7 @@ rank  player            games  avg score     initial        rating
    3  B                     2      0.550         0.0        -9.553
    4  C                     2      0.250         0.0      -142.037
 
-method direct: iterations 0, residual <num>, conserved total <num>
+method direct: iterations 2, residual <num>, conserved total <num>
 """,
     "check reference.json --spectral": """\
 P1 connected comparison graph: OK
@@ -793,7 +834,7 @@ rank  player            games  avg score     initial        rating
    3  B                     2      0.550         0.0   -2.388e+198
    4  C                     2      0.250         0.0   -3.551e+199
 
-method direct: iterations 0, residual <num>, conserved total <num>
+method direct: iterations 2, residual <num>, conserved total <num>
 """,
     "performance team_2v2.json --compare --model elo:1e200": """\
 model elo:1e+200

@@ -9,6 +9,7 @@ from recperf import (
     BoundaryScoreError,
     ConvergenceError,
     SingularSystemError,
+    DerivedMatrices,
     Tournament,
     build_tournament,
     derive,
@@ -21,7 +22,7 @@ from recperf import (
     solve_direct,
 )
 
-from conftest import ladder_records, random_tournament
+from conftest import ladder_records, random_round_robin, random_tournament
 from reference import (
     centered_offsets,
     centering_drift,
@@ -464,8 +465,25 @@ class TestSolveDirect:
             out.ratings, [REFERENCE_RATING, 0.0, -REFERENCE_RATING], atol=1e-9
         )
         assert out.method == "direct"
-        assert out.iterations == 0
+        assert out.iterations == 1
         assert out.residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_a_round_robin_takes_one_cg_iteration(self, monkeypatch, n):
+        # off the constants Mbar = -I/(n-1), so one CG step meets chat; the
+        # solve takes Mbar once more, for the true residual, and no further
+        d = derive(random_round_robin(np.random.default_rng(n), n))
+        calls = []
+        mbar_dot = DerivedMatrices.mbar_dot
+        monkeypatch.setattr(DerivedMatrices, "mbar_dot",
+                            lambda self, x: calls.append(1) or mbar_dot(self, x))
+        out = solve_direct(d, offsets(d, MODEL))
+        assert out.iterations == 1
+        assert len(calls) == 2
+
+    def test_team_tournament_takes_two_cg_iterations(self):
+        d = derive(team_2v2())
+        assert solve_direct(d, offsets(d, MODEL)).iterations == 2
 
     def test_round_robin_proportionality(self):
         # in a single round robin the offsets determine rating gaps by n/(n-1)
