@@ -9,6 +9,7 @@ unexpected.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from itertools import islice
@@ -153,29 +154,36 @@ def _player_rows(players, order, d, initial, **columns) -> _PlayerRows:
                                         "initial_rating": initial, **columns})
 
 
-# table title of each rating column a player row can carry
-_RATING_TITLES = {"rating": "rating", "performance": "performance",
-                  "recursive_performance": "recursive"}
+# table title of each column of ratings a player row can carry
+_RATING_TITLES = {"initial_rating": "initial", "rating": "rating",
+                  "performance": "performance", "recursive_performance": "recursive"}
 
 
-def _cell(value: float, width: int, digits: int) -> str:
-    """`value` with `digits` decimals in `width` columns; in exponent form if it does not fit."""
-    text = f"{value:>{width}.{digits}f}"
-    return text if len(text) <= width else f"{value:>{width}.{digits}e}"
+def _column(values, width: int, digits: int) -> list[str]:
+    """Table cells of `values` with `digits` decimals, right-aligned in `width` columns or
+    the widest cell's. One too wide for `width` takes exponent form, with as many decimals
+    as tell the column's values apart (16 tell any two floats apart)."""
+    cells = [f"{v:.{digits}f}" for v in values]
+    wide = {v for v, text in zip(values, cells) if len(text) > width}
+    places = next(p for p in range(digits, 17)
+                  if p == 16 or len({f"{v:.{p}e}" for v in wide}) == len(wide))
+    cells = [text if len(text) <= width else f"{v:.{places}e}" for v, text in zip(values, cells)]
+    width = max([width, *map(len, cells)])
+    return [text.rjust(width) for text in cells]
 
 
 def _print_players(rows: _PlayerRows) -> None:
     """The player table; a rank column leads when the rows carry one."""
     ranked = "rank" in rows.columns
-    ratings = [key for key in rows.columns if key in _RATING_TITLES]
-    print(("rank  " if ranked else "")
-          + f"{'player':<16}{'games':>7}  {'avg score':>9}  {'initial':>10}"
-          + "".join(f"  {_RATING_TITLES[key]:>12}" for key in ratings))
-    for row in rows:
+    keys = [key for key in rows.columns if key in _RATING_TITLES]
+    columns = [_column([rows.columns[key][i] for i in rows.order],
+                       *((10, 1) if key == "initial_rating" else (12, 3))) for key in keys]
+    print(("rank  " if ranked else "") + f"{'player':<16}{'games':>7}  {'avg score':>9}"
+          + "".join(f"  {_RATING_TITLES[k]:>{len(cells[0])}}" for k, cells in zip(keys, columns)))
+    for row, *cells in zip(rows, *columns):
         print((f"{row['rank']:>4}  " if ranked else "")
               + f"{row['player']:<16}{_games_text(row['games']):>7}  "
-              f"{row['avg_score']:>9.3f}  {_cell(row['initial_rating'], 10, 1)}"
-              + "".join(f"  {_cell(row[key], 12, 3)}" for key in ratings))
+              f"{row['avg_score']:>9.3f}" + "".join(f"  {cell}" for cell in cells))
 
 
 def cmd_rank(args: argparse.Namespace) -> dict | int:
@@ -209,8 +217,8 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
         if args.method in ("direct", "both"):
             outcomes["direct"] = timed("solve", solve_direct, d, c, initial, structure=structure)
         if args.method in ("iterative", "both"):
-            outcomes["iterative"] = timed("solve", iterate, d, c, initial,
-                                          tol=args.tol, max_iter=args.max_iter)
+            outcomes["iterative"] = timed("solve", iterate, d, c, initial, tol=args.tol,
+                                          max_iter=args.max_iter, structure=structure)
     except BoundaryScoreError as exc:
         return _refusal(players, exc, clamp_hint=not args.clamp_scores)
 
@@ -354,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("input", help="tournament file (.json or .csv crosstable)")
     source.add_argument("--format", choices=("table", "json"), default="table")
     source.add_argument("--timings", action="store_true",
-                        help="print the seconds of each stage as one JSON line to stderr")
+                        help="print the seconds of each stage, and the memory peak (VmHWM) "
+                        "at its end, as one JSON line to stderr")
     rated = argparse.ArgumentParser(add_help=False)
     rated.add_argument("--model", default="elo", help="elo[:scale] | logistic:scale | gaussian:sigma")
 
@@ -373,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--spectral", action="store_true",
                        help="add lambda_2 and lambda_min of Mbar with their error "
                        "bounds (deflated Lanczos), the spectral verdicts and the "
-                       "spectral gap; the table also estimates the fixed-point "
-                       f"iterations to {DEFAULT_SOLVE_TOL:g} from that gap")
+                       "spectral gap; the table also estimates the plain fixed-point "
+                       f"iteration's steps to {DEFAULT_SOLVE_TOL:g} from that gap")
     check.set_defaults(func=cmd_check,
                        table=lambda doc: _print_diagnostics(doc["diagnostics"]))
 
@@ -421,12 +430,17 @@ def _run(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; with --timings, then write its stage seconds to stderr
-    (render holds the report and all time that no other stage does)."""
+    (render holds the report and all time that no other stage does), and under
+    "vmhwm_mb" each stage's `VmHWM` where Linux reports it."""
     args = build_parser().parse_args(argv)
-    with recording() as seconds:
+    peaks = {} if getattr(args, "timings", False) else None
+    with recording(peaks) as seconds:
         code = timed("render", _run, args)
-    if getattr(args, "timings", False):
-        sys.stderr.write(to_json({k: seconds[k] for k in STAGES if k in seconds}))
+    if peaks is not None:
+        report: dict = {k: seconds[k] for k in STAGES if k in seconds}
+        if peaks:
+            report["vmhwm_mb"] = {k: peaks[k] for k in report}
+        sys.stderr.write(json.dumps(report) + "\n")
     return code
 
 

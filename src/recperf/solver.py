@@ -24,9 +24,9 @@ Jacobi-preconditioned conjugate gradients solve it, as CG on I - Mbar in
 the games-weighted inner product.
 
 Both methods, and the one-shot performance, apply Mbar through a single
-kernel over the CSR adjacency of `derive`, so a step costs O(pairs). On a
-small schedule that mixes slowly the iteration also takes blocks of steps by
-products with the dense Mbar^256 and Mbar^16 (`iterate` says when). Both
+kernel over the CSR adjacency of `derive`, so a step costs O(pairs). A slow
+mixer turns the iteration to Chebyshev semi-iteration on the same map,
+about the square root of the plain steps (`iterate` says when). Both
 solvers run on the deviation from the conserved games-weighted mean.
 """
 
@@ -45,7 +45,8 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to max(1, |chat|_inf)
 _ROUNDING = 16 * np.finfo(float).eps  # evaluation error of a step per unit of |x|_inf
 _WINDOW = 64  # plain steps over which `iterate` measures the contraction
-_BLOCK_BYTES = 6 * 2**20  # Mbar^256, Mbar^16 and a scratch copy, so n <= 512
+_CHECK = 32  # Chebyshev steps between two checks of a cycle's drop against its bound
+_DAMPING = 0.75  # a cycle restarts once its drop falls short of the bound to this power
 
 
 class ConvergenceError(RuntimeError):
@@ -102,9 +103,10 @@ class SolveOutcome:
     """A pinned rating vector plus how it was obtained.
 
     `pinned_total` is sum(m_i ratings_i), which matches the total strength
-    of the initial ratings. `iterations` counts fixed-point steps, or for
-    the direct method conjugate-gradient iterations. `trace` holds every
-    iterate when recording was requested (iterative method only).
+    of the initial ratings. `iterations` counts the fixed-point
+    iteration's Mbar products, one a step, or for the direct method
+    conjugate-gradient iterations. `trace` holds every iterate when
+    recording was requested (iterative method only).
     """
 
     ratings: np.ndarray
@@ -167,27 +169,25 @@ def _check_limits(tol: float | None, max_iter: int) -> None:
 
 def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
             tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
-            record_trace: bool = False) -> SolveOutcome:
-    """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat.
+            record_trace: bool = False,
+            structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
+    """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat, accelerated once slow.
 
     chat is c centered to games-weighted mean zero. Every iterate is
     rho e + y with rho = shares @ r, because Mbar e = e and chat has mean
     zero, so the loop runs on the deviation y and adds rho back to the
-    ratings, the trace and the ConvergenceError iterate. It stops when the
-    infinity-norm step drops below `tol` (default DEFAULT_SOLVE_TOL *
-    max(1, |chat|_inf)), or stalls within the rounding of |y|_inf, which no
-    tol can undercut. The caller is expected to have verified P1 and P2
-    first; on bipartite schedules the iteration oscillates and ends in
-    ConvergenceError, worded from a BFS run only on that failure.
-
-    Without a trace, a schedule whose block maps fit _BLOCK_BYTES (n <= 512)
-    predicts every _WINDOW plain steps how many more it needs from the
-    contraction q over the last window: log(tol / step) / log(q), or no
-    end if q >= 1. Once both that and the steps left to max_iter reach
-    n^2/16, about what the build costs, it goes on in blocks of 256 steps,
-    then of 16 (`_skip_blocks`); the plain steps still take the last block
-    and the steps after it, and so decide the stop, the count and the
-    residual.
+    ratings, the trace and the ConvergenceError iterate. A step is one
+    Mbar product, the plain step delta = Mbar x + chat - x; the run stops
+    at x + delta once |delta|_inf is below `tol` (default
+    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)) or stalls within the rounding
+    of |y|_inf, which no tol can undercut. Steps are plain until a
+    boundary of _WINDOW steps where the drop left, step/tol, exceeds the
+    last window's; then `_Chebyshev` steps take over, unless BFS finds the
+    schedule split or bipartite: they could converge where the paper's
+    iteration must not, so plain steps go on to the cap and
+    ConvergenceError names the cause. `structure`, the caller's
+    `check_structure(d)`, saves that BFS. The loop calls no BLAS, and a
+    trace changes no step.
     """
     r = _as_vector(r, d)
     chat = _centered(d, c)
@@ -201,87 +201,89 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
         rho, y = 0.0, r
     current = d.mbar_dot(y) + chat
     trace = [current + rho] if record_trace else None
+    previous = delta = chebyshev = None
     step = window = math.inf
-    # building the block maps costs 0.5-0.9x as much as n^2/16 plain steps for n = 220-512
-    build_cost = math.inf if trace is not None or 24 * d.n * d.n > _BLOCK_BYTES else d.n * d.n / 16
-    iteration = 0
     with np.errstate(over="ignore"):  # ratings of +-1e308 overflow the step to inf
-        while iteration < max_iter:
-            iteration += 1
+        for iteration in range(1, max_iter + 1):
             nxt = d.mbar_dot(current)
             nxt += chat
-            delta = nxt - current
+            delta, before = nxt - current, delta
             last, step = step, float(np.abs(delta).max())
-            current = nxt
+            # |y|_inf only once the step stalls: on every step it would slow small schedules
+            if step < tol or (step >= last and step <= _ROUNDING * float(np.abs(nxt).max())):
+                if trace is not None:
+                    trace.append(nxt + rho)
+                return _outcome(d, chat, rho, "iterative", nxt, iteration, trace=trace)
+            if chebyshev is None and iteration % _WINDOW == 0:
+                if window > step and step / tol > window / step:
+                    if structure is None:
+                        structure = diagnostics.check_structure(d)
+                    if structure.connected and not structure.bipartite:
+                        chebyshev = _Chebyshev(d.shares, before / last, delta / last)
+                window = step
+            if chebyshev is not None:
+                nxt = chebyshev.next(previous, current, delta, step)
+            previous, current = current, nxt
             if trace is not None:
                 trace.append(current + rho)
-            # |y|_inf only once the step stalls: on every step it would slow small schedules
-            if step < tol or (step >= last
-                              and step <= _ROUNDING * float(np.abs(current).max())):
-                return _outcome(d, chat, rho, "iterative", current, iteration, trace=trace)
-            if iteration % _WINDOW == 0:
-                left = (_WINDOW * math.log(step / tol) / math.log(window / step)
-                        if window > step else math.inf)
-                if min(left, max_iter - iteration) >= build_cost:
-                    build_cost = math.inf
-                    xd = np.column_stack([current, delta])
-                    for p, q, k in _block_map(d, chat):
-                        xd, step, iteration = _skip_blocks(p, q, k, xd, step, iteration,
-                                                           max_iter, tol)
-                    current = xd[:, 0]
-                window = step
-    raise ConvergenceError(max_iter, step, diagnostics.check_structure(d), current + rho)
+    if structure is None:
+        structure = diagnostics.check_structure(d)
+    raise ConvergenceError(max_iter, step, structure, current + rho)
 
 
-def _block_map(d: DerivedMatrices,
-               chat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-    """(P, q, K) with P = Mbar^K and q = sum_{j<K} Mbar^j chat, for K = 256 and 16.
+class _Chebyshev:
+    """Chebyshev semi-iteration on [-1, b] for x <- Mbar x + chat.
 
-    K steps map x to P x + q. Squaring (P, q) into (P P, P q + q) doubles
-    the steps; a copy keeps Mbar^16, so three n x n arrays are live at the
-    end. Each product is taken row by row (gemv), since a whole-matrix one
-    (gemm) takes about 1 MB more BLAS scratch memory, and its threads stall
-    on busy cores: on the bench ladder (n = 220, 2 cores) the rows took
-    0.03-0.04 s of solve in every run, gemm 0.02 s in most but 0.15 s in
-    5 of 28.
+    x_1 = x_0 + gamma delta_0 and x_{p+1} = x_{p-1} + omega_p (gamma delta_p
+    + x_p - x_{p-1}), with gamma = 2/(3 - b), sigma = (1 + b)/(3 - b),
+    omega_0 = 2 and omega_p = 1/(1 - sigma^2 omega_{p-1}/4), take the error
+    through the degree-p polynomial least on [-1, b] that is 1 at 1 (Golub
+    & Varga, Numer. Math. 3, 1961), and conserve the total. Mbar is
+    self-adjoint in the shares inner product with its spectrum in [-1, 1],
+    so unless lambda_2 > b the shares norm of delta_p is at most
+    Q_p = 2 r^(p/2)/(1 + r^p) times that of delta_0, r = (1 - s)/(1 + s),
+    s^2 = 1 - sigma^2. b starts at the Rayleigh quotient of the last plain
+    step. Every _CHECK steps, a cycle whose drop falls short of
+    Q_p^_DAMPING restarts with b raised to the eigenvalue whose factor
+    matches the drop, but 1 - b cut by 4 at most (Hageman & Young,
+    "Applied Iterative Methods", 1981, ch. 5): b climbs toward lambda_2.
     """
-    p = np.zeros((d.n, d.n))
-    p[np.repeat(np.arange(d.n), np.diff(d.indptr)), d.indices] = d.weights
-    q = chat
-    scratch = np.empty_like(p)
-    for steps in (2, 4, 8, 16, 32, 64, 128, 256):
-        q = p @ q + q
-        for i in range(d.n):
-            np.matmul(p[i], p, out=scratch[i])
-        p, scratch = scratch, p
-        if steps == 16:
-            short = p.copy(), q, steps
-    return (p, q, steps), short
 
+    def __init__(self, shares: np.ndarray, before: np.ndarray, after: np.ndarray):
+        self.shares = shares  # after = Mbar before, off the constants
+        self._cycle(float(np.add.reduce(shares * before * after)
+                          / np.add.reduce(shares * before * before)))
 
-def _skip_blocks(p: np.ndarray, q: np.ndarray, k: int, xd: np.ndarray, step: float,
-                 iteration: int, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """Advance the columns x and delta of `xd` by blocks of k steps while none could stop.
+    def _cycle(self, b: float) -> None:
+        """Start a cycle on [-1, b], b clipped into [0, 1 - _ROUNDING]."""
+        self.b = b = min(max(b, 0.0), 1.0 - _ROUNDING)
+        sigma = (1.0 + b) / (3.0 - b)
+        root = math.sqrt(1.0 - sigma * sigma)
+        self.gamma, self.sigma2 = 2.0 / (3.0 - b), sigma * sigma
+        self.r = (1.0 - root) / (1.0 + root)
+        self.p, self.omega = 0, 2.0
 
-    p = Mbar^k maps the step delta_j = x_j - x_{j-1} to delta_{j+k} as it
-    maps x, so one product (gemm) takes both. Mbar is nonnegative and
-    row-stochastic, so |delta|_inf never grows: a block whose end step
-    clears both stop tests, for every iterate in it
-    (|x_j|_inf <= |x_i|_inf + k |delta_i|_inf) and with a margin for the
-    rounding its k plain steps could add, holds no stop. The first block
-    that does not clear them is discarded, and the next level goes on from
-    its start. Blocks also end k steps before max_iter, so the step that
-    meets a cap is a plain one.
-    """
-    while iteration + k < max_iter:
-        end = p @ xd
-        end[:, 0] += q
-        step_end = float(np.abs(end[:, 1]).max())
-        reach = float(np.abs(xd[:, 0]).max()) + k * step
-        if not step_end > tol + (k + 1) * _ROUNDING * reach:
-            break
-        xd, step, iteration = end, step_end, iteration + k
-    return xd, step, iteration
+    def next(self, previous, current, delta, step: float) -> np.ndarray:
+        """The iterate after `current`, whose plain step `delta` has max norm `step`."""
+        if self.p % _CHECK == 0:
+            norm = step * math.sqrt(np.add.reduce(self.shares * np.square(delta / step)))
+            if self.p == 0:
+                self.start = norm
+            else:
+                log_q = math.log(2.0) + self.p / 2 * math.log(self.r) - math.log1p(self.r ** self.p)
+                # a drop of T_p(z) Q_p, z the abscissa on [-1, b] of the eigenvalue it shows
+                excess = math.log(norm / self.start) - log_q
+                if excess > (_DAMPING - 1.0) * log_q:
+                    acosh = excess + math.log1p(math.sqrt(-math.expm1(-2.0 * excess)))  # p acosh z
+                    theta, b = math.exp(acosh / self.p), self.b  # z = (theta + 1/theta) / 2
+                    self._cycle(min(((b + 1) * (theta + 1 / theta) / 2 + b - 1) / 2,
+                                    1 - (1 - b) / 4))
+                    self.start = norm
+        self.p += 1
+        nxt = (current + self.gamma * delta if self.p == 1
+               else previous + self.omega * (self.gamma * delta + current - previous))
+        self.omega = 1.0 / (1.0 - self.sigma2 * self.omega / 4.0)
+        return nxt
 
 
 def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> tuple[np.ndarray, int, float]:

@@ -3,6 +3,7 @@
 These are the oracles behind the acceptance criteria: the games-weighted
 inner product and strength summary, relabeling a tournament, the power
 limit of Mbar, the centered offsets, the raw-vs-centered iteration gap,
+the distance a stopped iteration may lie from the direct solve,
 the consistency residual, the score ranking, comparison up to a constant
 shift, and CSV output for round trips, the per-record check of JSON
 game records that `io`'s column check must agree with, and the JSON report
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -262,6 +264,30 @@ def centered_offsets(d: DerivedMatrices, model: RatingModel, *,
     chat = c - d.shares @ c
     chat -= d.shares @ chat
     return chat
+
+
+def iteration_error_bound(d: DerivedMatrices, chat: np.ndarray, ratings: np.ndarray,
+                          rho: float, lambda_2: float, tol: float | None = None) -> float:
+    """How far `iterate`'s ratings may lie from `solve_direct`'s.
+
+    `iterate` stops on a plain step delta with |delta|_inf below tol (its
+    default from chat unless given), or within the rounding 16 eps |y|_inf
+    of the deviation y = ratings - rho, and returns x + delta = x* + Mbar e
+    for the error e = x - x*. As delta = (Mbar - I) e and Mbar is
+    self-adjoint in the shares inner product, the shares norm of Mbar e is
+    at most |delta|_shares / (1 - lambda_2) <= |delta|_inf / (1 - lambda_2).
+    The max norm is at most the shares norm / sqrt(min shares), the
+    shares-to-max-norm factor. The direct solve's stop (1e-13 *
+    max(1, |chat|_inf), or the same rounding) adds its own share, and
+    adding rho back rounds each rating.
+    """
+    top = max(1.0, float(np.abs(chat).max()))
+    if tol is None:
+        tol = 1e-10 * top
+    deviation = float(np.abs(ratings - rho).max())
+    stops = tol + 1e-13 * top + 32 * np.finfo(float).eps * deviation
+    return (stops / ((1.0 - lambda_2) * math.sqrt(float(d.shares.min())))
+            + 4 * float(np.spacing(abs(rho) + deviation)))
 
 
 def centering_drift(d: DerivedMatrices, model: RatingModel, r: np.ndarray,

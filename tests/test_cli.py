@@ -297,8 +297,12 @@ class TestSinglePass:
         assert alive == [False]
 
 
+LINUX_PEAKS = Path("/proc/self/status").exists()
+
+
 class TestTimings:
-    """--timings adds one JSON line of stage seconds to stderr and changes nothing else."""
+    """--timings adds one JSON line of stage seconds, and where Linux reports it each
+    stage's memory peak, to stderr and changes nothing else."""
 
     @pytest.mark.parametrize("argv, stages", [
         (["rank", REFERENCE, "--method", "both"],
@@ -320,8 +324,14 @@ class TestTimings:
         line = timed_err[len(err):]
         assert line.endswith("\n") and line.count("\n") == 1
         seconds = json.loads(line)
+        peaks = seconds.pop("vmhwm_mb", None)
         assert list(seconds) == stages
         assert all(s >= 0.0 for s in seconds.values())
+        if LINUX_PEAKS:  # each peak read at its stage's end; render ends last
+            assert list(peaks) == stages
+            assert 0.0 < min(peaks.values()) and max(peaks.values()) == peaks["render"]
+        else:
+            assert peaks is None
 
     def test_a_nested_stage_counts_only_in_itself(self, monkeypatch):
         clock = iter([0.0, 1.0, 3.0, 10.0, 20.0, 24.0])
@@ -335,8 +345,28 @@ class TestTimings:
     def test_a_failed_command_times_what_ran(self, capsys):
         code, out, err = run(capsys, "rank", str(FIXTURES / "disconnected.json"), "--timings")
         assert code == EXIT_DISCONNECTED and out == ""
-        assert list(json.loads(err.splitlines()[-1])) == [
-            "parse", "build", "derive", "structure", "render"]
+        seconds = json.loads(err.splitlines()[-1])
+        seconds.pop("vmhwm_mb", None)
+        assert list(seconds) == ["parse", "build", "derive", "structure", "render"]
+
+    def test_peaks_are_read_only_with_timings(self, capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(_timing, "_peak_mb", lambda: reads.append(1) or 40.0)
+        code, _, err = run(capsys, "rank", REFERENCE)
+        assert code == EXIT_OK and not reads
+        code, _, err = run(capsys, "rank", REFERENCE, "--timings")
+        assert code == EXIT_OK and reads
+        assert json.loads(err.splitlines()[-1])["vmhwm_mb"] == dict.fromkeys(
+            ["parse", "build", "derive", "structure", "solve", "render"], 40.0)
+
+    def test_peaks_are_left_out_where_proc_is_missing(self, capsys, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/status")
+        monkeypatch.setattr(_timing, "open", missing, raising=False)
+        assert _timing._peak_mb() is None
+        code, _, err = run(capsys, "rank", REFERENCE, "--timings")
+        assert code == EXIT_OK
+        assert "vmhwm_mb" not in json.loads(err.splitlines()[-1])
 
 
 def test_commands_import_neither_numpy_ma_nor_numpy_random():
@@ -914,11 +944,27 @@ class TestGoldenOutput:
         assert code == EXIT_OK
         assert out == """\
 model elo:400
-player            games  avg score     initial   performance     recursive
-A                     2      0.750     1.0e+12    -1.500e+09     3.323e+11
-B                     2      0.500    -3.0e+09     5.000e+11     3.323e+11
-C                     2      0.250         5.5     4.985e+11     3.323e+11
+player            games  avg score     initial   performance        recursive
+A                     2      0.750     1.0e+12    -1.500e+09  3.323333335e+11
+B                     2      0.500    -3.0e+09     5.000e+11  3.323333333e+11
+C                     2      0.250         5.5     4.985e+11  3.323333332e+11
 """
+
+    def test_exponent_cells_keep_the_gaps_between_ratings(self, capsys, tmp_path):
+        # ratings 1.3e2 apart near 3.3e11 agree to four digits; the column takes
+        # the ten it needs to tell them apart, and widens to fit them
+        doc = json.loads(Path(REFERENCE).read_text())
+        doc["initial_ratings"] = [1e12, -3e9, 5.5]
+        path = tmp_path / "rated.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == EXIT_OK
+        assert out.splitlines()[5:9] == [
+            "rank  player            games  avg score     initial           rating",
+            "   1  A                     2      0.750     1.0e+12  3.323333335e+11",
+            "   2  B                     2      0.500    -3.0e+09  3.323333333e+11",
+            "   3  C                     2      0.250         5.5  3.323333332e+11",
+        ]
 
     @pytest.mark.parametrize("command", GOLDEN_REFUSALS)
     def test_refusal(self, capsys, command):

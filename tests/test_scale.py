@@ -42,6 +42,7 @@ from recperf import diagnostics
 from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 from recperf.diagnostics import UNRESOLVED
 
+from conftest import ladder_records
 from reference import (
     consistency_residual,
     dense_derive,
@@ -50,6 +51,7 @@ from reference import (
     dense_lopsided_pairs,
     dense_solve,
     dense_structure,
+    iteration_error_bound,
     permute_tournament,
     tournament_to_csv,
 )
@@ -152,6 +154,25 @@ def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_NO_CONVERGENCE
     assert "converges, but not within 1000 steps" in err and "bipartite" not in err
+
+
+def test_a_slow_mixer_converges_at_n_2000():
+    # the spectral gap is 3.1e-6, so plain steps would need millions; the
+    # Chebyshev steps finish under the default cap, within the stop's bound
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    d = derive(build_tournament(*ladder_records(2000)))
+    c = offsets(d, MODEL)
+    out = iterate(d, c)
+    root = np.sqrt(d.m)
+    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
+    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
+                            shape=(d.n, d.n))
+    # the two eigenvalues nearest 1 + 1e-3 are 1 and lambda_2
+    lambda_2 = eigsh(sym, k=2, sigma=1.001, which="LM", tol=1e-13,
+                     return_eigenvectors=False).min()
+    bound = iteration_error_bound(d, c - d.shares @ c, out.ratings, 0.0, lambda_2)
+    assert np.abs(out.ratings - solve_direct(d, c).ratings).max() <= bound
 
 
 @pytest.mark.parametrize("name, iterates", [

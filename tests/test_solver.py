@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import recperf.solver as solver
+from recperf import diagnostics
 from recperf import (
     BoundaryScoreError,
     ConvergenceError,
@@ -28,8 +29,9 @@ from reference import (
     centering_drift,
     dense_derive,
     dense_eigenvalues,
-    dense_iterate,
+    dense_solve,
     consistency_residual,
+    iteration_error_bound,
     min_shift_distance,
     permute_tournament,
     weighted_inner,
@@ -279,11 +281,22 @@ class TestIterate:
 
 
 @pytest.fixture
-def block_maps(monkeypatch):
-    """The number of times `iterate` has built its block maps so far."""
+def cycles(monkeypatch):
+    """The b of every Chebyshev cycle `iterate` starts, in order."""
+    seen = []
+    start = solver._Chebyshev._cycle
+    monkeypatch.setattr(solver._Chebyshev, "_cycle",
+                        lambda self, b: start(self, b) or seen.append(self.b))
+    return seen
+
+
+@pytest.fixture
+def traversals(monkeypatch):
+    """One entry for each BFS run so far."""
     calls = []
-    build = solver._block_map
-    monkeypatch.setattr(solver, "_block_map", lambda *args: calls.append(1) or build(*args))
+    check = diagnostics.check_structure
+    monkeypatch.setattr(diagnostics, "check_structure",
+                        lambda d: calls.append(1) or check(d))
     return calls
 
 
@@ -296,57 +309,24 @@ def huge_ladder():
     return d, gap, 1e12 + np.random.default_rng(58).uniform(0, 3000, d.n)
 
 
-def assert_capped_on_a_plain_step(cap):
-    """The n = 60 ladder capped at `cap` fails as the plain loop does."""
-    d = derive(build_tournament(*ladder_records(60)))
-    errors = []
-    for record_trace in (False, True):
-        with pytest.raises(ConvergenceError) as excinfo:
-            iterate(d, offsets(d, MODEL), max_iter=cap, record_trace=record_trace)
-        errors.append(excinfo.value)
-    blocks, plain = errors
-    assert blocks.iterations == cap
-    assert f"converges, but not within {cap} steps" in str(blocks)
-    assert blocks.step_norm == pytest.approx(plain.step_norm, rel=1e-9)
-    assert np.abs(blocks.last_iterate - plain.last_iterate).max() <= 1e-9 * MODEL.scale
+class TestChebyshev:
+    """Slow mixers, where `iterate` turns to Chebyshev semi-iteration."""
 
-
-class TestBlockPath:
-    """Slow mixers, where `iterate` takes blocks of 256 steps, then of 16."""
-
-    def test_count_and_ratings_match_the_dense_iteration(self):
+    def test_ladder_fixture_count_and_accuracy(self, cycles):
+        # the plain iteration takes 15,353 steps here
         t = load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament
-        d = derive(t)
+        d, dd = derive(t), dense_derive(t)
         out = iterate(d, offsets(d, MODEL))
-        ratings, iterations = dense_iterate(dense_derive(t), MODEL)
-        assert out.iterations == iterations == 15353
-        assert np.abs(out.ratings - ratings).max() <= 1e-9 * MODEL.scale
+        assert out.iterations == 609
+        assert len(cycles) == 2
+        bound = iteration_error_bound(d, centered_offsets(d, MODEL), out.ratings, 0.0,
+                                      dense_eigenvalues(dd)[-2])
+        assert np.abs(out.ratings - dense_solve(dd, MODEL)).max() <= bound
 
-    def test_each_block_map_takes_its_steps(self):
-        d = derive(build_tournament(*ladder_records(40)))
-        chat = centered_offsets(d, MODEL)
-        x = np.random.default_rng(60).uniform(-500, 500, d.n)
-        for p, q, k in solver._block_map(d, chat):
-            plain = x
-            for _ in range(k):
-                plain = d.mbar_dot(plain) + chat
-            assert np.abs(p @ x + q - plain).max() <= 1e-9 * MODEL.scale
-        assert [k for _, _, k in solver._block_map(d, chat)] == [256, 16]
-
-    @pytest.mark.parametrize("n", [40, 60, 100])
-    def test_stops_where_the_plain_loop_stops(self, block_maps, n):
-        d = derive(build_tournament(*ladder_records(n)))
-        blocks = iterate(d, offsets(d, MODEL))
-        assert len(block_maps) == 1
-        plain = iterate(d, offsets(d, MODEL), record_trace=True)
-        assert len(block_maps) == 1
-        assert blocks.iterations == plain.iterations
-        assert np.abs(blocks.ratings - plain.ratings).max() <= 1e-9 * MODEL.scale
-
-    def test_fast_mixers_never_build_the_blocks(self, monkeypatch):
+    def test_fast_mixers_stay_plain(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("block maps built")
-        monkeypatch.setattr(solver, "_block_map", refuse)
+            raise AssertionError("Chebyshev steps taken")
+        monkeypatch.setattr(solver, "_Chebyshev", refuse)
         d = derive(reference_tournament())
         iterate(d, offsets(d, MODEL))
         rng = np.random.default_rng(47)
@@ -354,58 +334,88 @@ class TestBlockPath:
             d = derive(random_tournament(rng))
             iterate(d, offsets(d, MODEL), rng.uniform(0, 2000, d.n))
 
-    def test_agrees_with_direct(self, block_maps):
+    @pytest.mark.parametrize("n, iterations", [(40, 284), (60, 376), (100, 609)])
+    def test_b_climbs_toward_lambda_2_from_below(self, cycles, n, iterations):
+        t = build_tournament(*ladder_records(n))
+        d, dd = derive(t), dense_derive(t)
+        out = iterate(d, offsets(d, MODEL))
+        assert out.iterations == iterations
+        lambda_2 = dense_eigenvalues(dd)[-2]
+        assert cycles == sorted(cycles)
+        assert 0.0 < cycles[0] and cycles[-1] <= lambda_2 + 1e-12
+        bound = iteration_error_bound(d, centered_offsets(d, MODEL), out.ratings, 0.0, lambda_2)
+        assert np.abs(out.ratings - dense_solve(dd, MODEL)).max() <= bound
+
+    def test_agrees_with_direct(self):
         d = derive(build_tournament(*ladder_records(60)))
-        # the default tol leaves an error of tol / gap, 2.5e-6 here
         c = offsets(d, MODEL)
         out = iterate(d, c, tol=1e-13 * MODEL.scale)
-        assert len(block_maps) == 1
         assert np.abs(out.ratings - solve_direct(d, c).ratings).max() <= 1e-9 * MODEL.scale
 
-    def test_a_cap_inside_a_block_ends_on_a_plain_step(self, block_maps):
-        # blocks of 256 cover steps 129-1664 and blocks of 16 steps 1665-1696;
-        # the next of each would pass the cap, so steps 1697-1700 are plain
-        assert_capped_on_a_plain_step(1700)
-        assert len(block_maps) == 1
+    def test_the_bfs_runs_once_and_only_when_needed(self, traversals):
+        d = derive(build_tournament(*ladder_records(60)))
+        c = offsets(d, MODEL)
+        structure = diagnostics.check_structure(d)
+        del traversals[:]
+        iterate(d, c, structure=structure)
+        assert not traversals  # the caller's verdict is taken
+        iterate(d, c)
+        assert len(traversals) == 1  # at the switch
+        with pytest.raises(ConvergenceError):
+            iterate(d, c, max_iter=300)
+        assert len(traversals) == 2  # at the switch, and not again at the cap
+        with pytest.raises(ConvergenceError):
+            iterate(d, c, max_iter=100)
+        assert len(traversals) == 3  # no switch before the cap: at the cap
 
-    def test_a_cap_inside_a_16_step_block_ends_on_a_plain_step(self, block_maps):
-        # blocks of 256 end at step 5504, where the next one would pass both the
-        # cap and the stop; blocks of 16 cover 5505-5520, so 5521-5530 are plain
-        assert_capped_on_a_plain_step(5530)
-        assert len(block_maps) == 1
-
-    def test_a_bipartite_path_still_takes_blocks(self, block_maps):
+    def test_a_bipartite_path_keeps_plain_steps(self, cycles, traversals):
         names = [f"P{k}" for k in range(30)]
         records = [(names[k], names[k + 1], 0.6) for k in range(29)] * 2
         d = derive(build_tournament(names, records))
-        with pytest.raises(ConvergenceError, match="is bipartite"):
-            iterate(d, offsets(d, MODEL), max_iter=100_000)
-        assert len(block_maps) == 1
+        with pytest.raises(ConvergenceError, match="is bipartite") as excinfo:
+            iterate(d, offsets(d, MODEL), max_iter=5_000)
+        assert excinfo.value.iterations == 5_000
+        assert not cycles
+        assert len(traversals) == 1
 
-    def test_trace_keeps_every_step_past_the_switch(self, block_maps):
+    def test_a_split_schedule_keeps_plain_steps(self, cycles):
+        # two chains closed into triangles, joined by nothing: each one mixes slowly
+        names = [f"P{k}" for k in range(40)]
+        records = []
+        for first in (0, 20):
+            records += [(names[k], names[k + 1], 0.7) for k in range(first, first + 19)]
+            records.append((names[first], names[first + 2], 0.7))
+        d = derive(build_tournament(names, records))
+        with pytest.raises(ConvergenceError, match="splits into 2 independent groups"):
+            iterate(d, offsets(d, MODEL), max_iter=2_000)
+        assert not cycles
+
+    def test_a_cap_inside_the_chebyshev_steps(self, cycles):
+        d = derive(build_tournament(*ladder_records(60)))
+        errors = []
+        for record_trace in (False, True):
+            with pytest.raises(ConvergenceError) as excinfo:
+                iterate(d, offsets(d, MODEL), max_iter=300, record_trace=record_trace)
+            errors.append(excinfo.value)
+        assert len(cycles) == 2
+        quiet, traced = errors
+        assert quiet.iterations == 300
+        assert "converges, but not within 300 steps" in str(quiet)
+        assert quiet.step_norm == traced.step_norm
+        assert np.array_equal(quiet.last_iterate, traced.last_iterate)
+
+    def test_trace_keeps_every_step_past_the_switch(self, cycles):
         d = derive(build_tournament(*ladder_records(60)))
         r = np.random.default_rng(57).uniform(500, 2500, d.n)
         out = iterate(d, offsets(d, MODEL), r, record_trace=True)
-        assert not block_maps
-        assert out.iterations == iterate(d, offsets(d, MODEL), r).iterations
-        assert len(block_maps) == 1
+        quiet = iterate(d, offsets(d, MODEL), r)
+        assert cycles and cycles[:len(cycles) // 2] == cycles[len(cycles) // 2:]
+        assert out.iterations == quiet.iterations
+        assert np.array_equal(out.ratings, quiet.ratings)
         assert len(out.trace) == out.iterations + 1
+        assert np.array_equal(out.trace[-1], out.ratings)
         sigma = float(d.m @ r)
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 1e-9 * abs(sigma)
-
-    def test_huge_ratings_stop_at_the_rounding_floor(self, huge_ladder):
-        # tol is below the rounding of the deviation y = x - rho (the floor
-        # 16 eps |y|_inf), so the stall ends the run on both paths; they
-        # can stop a few steps apart
-        d, gap, r = huge_ladder
-        c = offsets(d, MODEL)
-        direct = solve_direct(d, c, r).ratings
-        rho = float(d.shares @ r)
-        for record_trace in (False, True):
-            out = iterate(d, c, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
-            assert out.iterations < 21000  # 20,751 at r = 0; the cap is 10**6
-            floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
-            assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
 
 
 class TestDeviationIterate:
@@ -413,15 +423,28 @@ class TestDeviationIterate:
 
     def test_huge_ratings_converge_like_small_ones(self, huge_ladder):
         # on x itself the rounding floor 16 eps |x|_inf = 3.6e-3 stopped the
-        # run at 5,239 steps, 2.7 rating points from the direct solve
+        # plain run at 5,239 steps, 2.7 rating points from the direct solve
         d, gap, r = huge_ladder
         c = offsets(d, MODEL)
         out = iterate(d, c, r)
-        assert out.iterations == iterate(d, c, r, record_trace=True).iterations == 15357
+        assert out.iterations == iterate(d, c, r, record_trace=True).iterations == 577
         tol = 1e-10 * float(np.abs(centered_offsets(d, MODEL)).max())
         rho = float(d.shares @ r)
         error = np.abs(out.ratings - solve_direct(d, offsets(d, MODEL), r).ratings).max()
         assert error <= 4 * np.spacing(rho) + 10 * tol / gap
+
+    def test_huge_ratings_stop_at_the_rounding_floor(self, huge_ladder):
+        # tol is below the rounding of the deviation y = x - rho (the floor
+        # 16 eps |y|_inf), so the stall ends the run
+        d, gap, r = huge_ladder
+        c = offsets(d, MODEL)
+        direct = solve_direct(d, c, r).ratings
+        rho = float(d.shares @ r)
+        for record_trace in (False, True):
+            out = iterate(d, c, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
+            assert out.iterations == 736
+            floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
+            assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
 
     def test_trace_keeps_the_total_of_huge_ratings(self, huge_ladder):
         d, _, r = huge_ladder
@@ -430,11 +453,12 @@ class TestDeviationIterate:
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 4 * np.spacing(sigma)
 
     def test_a_capped_run_keeps_the_total_of_huge_ratings(self, huge_ladder):
+        # capped after the switch at step 128, inside the Chebyshev steps
         d, _, r = huge_ladder
         sigma = float(d.m @ r)
         for record_trace in (False, True):
             with pytest.raises(ConvergenceError) as excinfo:
-                iterate(d, offsets(d, MODEL), r, max_iter=1700, record_trace=record_trace)
+                iterate(d, offsets(d, MODEL), r, max_iter=400, record_trace=record_trace)
             assert abs(float(d.m @ excinfo.value.last_iterate) - sigma) <= 4 * np.spacing(sigma)
 
     def test_a_tolerance_below_the_rounding_ends_in_the_stall(self, huge_ladder):
@@ -443,7 +467,7 @@ class TestDeviationIterate:
         direct = solve_direct(d, c).ratings
         for record_trace in (False, True):
             out = iterate(d, c, tol=1e-300, max_iter=10**6, record_trace=record_trace)
-            assert out.iterations == 20751
+            assert out.iterations == 782
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
             assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
 
