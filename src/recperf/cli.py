@@ -165,8 +165,9 @@ def _column(values, width: int, digits: int) -> list[str]:
     as tell the column's values apart (16 tell any two floats apart)."""
     cells = [f"{v:.{digits}f}" for v in values]
     wide = {v for v, text in zip(values, cells) if len(text) > width}
-    places = next(p for p in range(digits, 17)
-                  if p == 16 or len({f"{v:.{p}e}" for v in wide}) == len(wide))
+    places = digits
+    while places < 16 and len({f"{v:.{places}e}" for v in wide}) < len(wide):
+        places += 1
     cells = [text if len(text) <= width else f"{v:.{places}e}" for v, text in zip(values, cells)]
     width = max([width, *map(len, cells)])
     return [text.rjust(width) for text in cells]
