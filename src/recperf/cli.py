@@ -296,7 +296,9 @@ def cmd_performance(args: argparse.Namespace) -> dict | int:
         c = timed("solve", offsets, d, model)
         columns = {"performance": timed("solve", performance, d, c, initial)}
         if args.compare:
-            columns["recursive_performance"] = timed("solve", solve_direct, d, c, initial).ratings
+            structure = timed("structure", check_structure, d)
+            columns["recursive_performance"] = timed(
+                "solve", solve_direct, d, c, initial, structure=structure).ratings
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(players, exc)
     return {
@@ -371,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", parents=[source, rated],
                           help="compute recursive-performance ratings")
     rank.add_argument("--method", choices=("direct", "iterative", "both"), default="direct")
-    rank.add_argument("--tol", type=float, default=None, help="iteration stop tolerance")
+    rank.add_argument("--tol", type=float, default=None,
+                      help="iteration stop tolerance (default 1e-10 * max |centered offset|)")
     rank.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     rank.add_argument("--tie-tol", type=float, default=None,
                       help="rating gap treated as a tie (default 1e-6 * scale)")

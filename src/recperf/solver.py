@@ -25,8 +25,8 @@ the games-weighted inner product.
 
 Both methods, and the one-shot performance, apply Mbar through a single
 kernel over the CSR adjacency of `derive`, so a step costs O(pairs). A slow
-mixer turns the iteration to Chebyshev semi-iteration on the same map,
-about the square root of the plain steps (`iterate` says when). Both
+mixer finishes the iteration with the direct solve's conjugate gradients
+from the iterate where plain steps slowed (`iterate` says when). Both
 solvers run on the deviation from the conserved games-weighted mean.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,11 +43,9 @@ from .models import BoundaryScoreError, RatingModel
 from .tournament import DerivedMatrices
 
 DEFAULT_MAX_ITER = 100_000
-DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to max(1, |chat|_inf)
+DEFAULT_SOLVE_TOL = 1e-10  # iteration stop, relative to |chat|_inf (absolute when chat = 0)
 _ROUNDING = 16 * np.finfo(float).eps  # evaluation error of a step per unit of |x|_inf
 _WINDOW = 64  # plain steps over which `iterate` measures the contraction
-_CHECK = 32  # Chebyshev steps between two checks of a cycle's drop against its bound
-_DAMPING = 0.75  # a cycle restarts once its drop falls short of the bound to this power
 
 
 class ConvergenceError(RuntimeError):
@@ -103,9 +102,10 @@ class SolveOutcome:
     """A pinned rating vector plus how it was obtained.
 
     `pinned_total` is sum(m_i ratings_i), which matches the total strength
-    of the initial ratings. `iterations` counts the fixed-point
-    iteration's Mbar products, one a step, or for the direct method
-    conjugate-gradient iterations. `trace` holds every iterate when
+    of the initial ratings. `iterations` counts, for the iterative method,
+    the Mbar products `max_iter` caps (one a plain step, CG iteration or
+    check of CG's true residual); for the direct method, CG iterations.
+    `trace` holds the start and the iterate after each Mbar product when
     recording was requested (iterative method only).
     """
 
@@ -178,21 +178,23 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
     zero, so the loop runs on the deviation y and adds rho back to the
     ratings, the trace and the ConvergenceError iterate. A step is one
     Mbar product, the plain step delta = Mbar x + chat - x; the run stops
-    at x + delta once |delta|_inf is below `tol` (default
-    DEFAULT_SOLVE_TOL * max(1, |chat|_inf)) or stalls within the rounding
-    of |y|_inf, which no tol can undercut. Steps are plain until a
-    boundary of _WINDOW steps where the drop left, step/tol, exceeds the
-    last window's; then `_Chebyshev` steps take over, unless BFS finds the
-    schedule split or bipartite: they could converge where the paper's
-    iteration must not, so plain steps go on to the cap and
-    ConvergenceError names the cause. `structure`, the caller's
-    `check_structure(d)`, saves that BFS. The loop calls no BLAS, and a
-    trace changes no step.
+    at x + delta once |delta|_inf is below `tol` (default DEFAULT_SOLVE_TOL
+    * |chat|_inf, or * 1 if chat = 0) or stalls within the rounding of
+    |y|_inf, which no tol can undercut. Steps are plain until a boundary
+    of _WINDOW steps where the drop left, step/tol, exceeds the last
+    window's; then `_conjugate_gradients` finishes the run from x, whose
+    delta is CG's residual, on the same stop (Hageman & Young, "Applied
+    Iterative Methods", 1981, ch. 7), unless BFS finds the schedule split
+    or bipartite: CG could converge where the paper's iteration must not,
+    so plain steps go on to the cap. Every ConvergenceError names the BFS
+    cause; `structure`, the caller's `check_structure(d)`, saves that BFS.
+    Plain steps call no BLAS, CG two `shares @` dots a step. A trace,
+    which changes no step, holds the start and x after each Mbar product.
     """
     r = _as_vector(r, d)
     chat = _centered(d, c)
     if tol is None:
-        tol = DEFAULT_SOLVE_TOL * max(1.0, float(np.abs(chat).max()))
+        tol = DEFAULT_SOLVE_TOL * (float(np.abs(chat).max()) or 1.0)
     _check_limits(tol, max_iter)
     rho = float(d.shares @ r)
     with np.errstate(over="ignore"):
@@ -201,141 +203,93 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
         rho, y = 0.0, r
     current = d.mbar_dot(y) + chat
     trace = [current + rho] if record_trace else None
-    previous = delta = chebyshev = None
     step = window = math.inf
     with np.errstate(over="ignore"):  # ratings of +-1e308 overflow the step to inf
         for iteration in range(1, max_iter + 1):
             nxt = d.mbar_dot(current)
             nxt += chat
-            delta, before = nxt - current, delta
+            delta = nxt - current
             last, step = step, float(np.abs(delta).max())
             # |y|_inf only once the step stalls: on every step it would slow small schedules
             if step < tol or (step >= last and step <= _ROUNDING * float(np.abs(nxt).max())):
                 if trace is not None:
                     trace.append(nxt + rho)
                 return _outcome(d, chat, rho, "iterative", nxt, iteration, trace=trace)
-            if chebyshev is None and iteration % _WINDOW == 0:
+            if iteration % _WINDOW == 0:
                 if window > step and step / tol > window / step:
                     if structure is None:
                         structure = diagnostics.check_structure(d)
                     if structure.connected and not structure.bipartite:
-                        chebyshev = _Chebyshev(d.shares, before / last, delta / last)
+                        break
                 window = step
-            if chebyshev is not None:
-                nxt = chebyshev.next(previous, current, delta, step)
-            previous, current = current, nxt
+            current = nxt
             if trace is not None:
                 trace.append(current + rho)
-    if structure is None:
-        structure = diagnostics.check_structure(d)
-    raise ConvergenceError(max_iter, step, structure, current + rho)
+        else:
+            if structure is None:
+                structure = diagnostics.check_structure(d)
+            raise ConvergenceError(max_iter, step, structure, current + rho)
+        y, _, products, step, converged = _conjugate_gradients(
+            d, chat, current, delta, tol, max_iter - iteration,
+            None if trace is None else lambda x: trace.append(x + rho))
+    if converged:
+        return _outcome(d, chat, rho, "iterative", y, iteration + products, step, trace)
+    raise ConvergenceError(iteration + products, step, structure, y + rho)
 
 
-class _Chebyshev:
-    """Chebyshev semi-iteration on [-1, b] for x <- Mbar x + chat.
-
-    x_1 = x_0 + gamma delta_0 and x_{p+1} = x_{p-1} + omega_p (gamma delta_p
-    + x_p - x_{p-1}), with gamma = 2/(3 - b), sigma = (1 + b)/(3 - b),
-    omega_0 = 2 and omega_p = 1/(1 - sigma^2 omega_{p-1}/4), take the error
-    through the degree-p polynomial least on [-1, b] that is 1 at 1 (Golub
-    & Varga, Numer. Math. 3, 1961), and conserve the total. Mbar is
-    self-adjoint in the shares inner product with its spectrum in [-1, 1],
-    so unless lambda_2 > b the shares norm of delta_p is at most
-    Q_p = 2 r^(p/2)/(1 + r^p) times that of delta_0, r = (1 - s)/(1 + s),
-    s^2 = 1 - sigma^2. b starts at the Rayleigh quotient of the last plain
-    step. Every _CHECK steps, a cycle whose drop falls short of
-    Q_p^_DAMPING restarts with b raised to the eigenvalue whose factor
-    matches the drop, but 1 - b cut by 4 at most (Hageman & Young,
-    "Applied Iterative Methods", 1981, ch. 5): b climbs toward lambda_2.
-    """
-
-    def __init__(self, shares: np.ndarray, before: np.ndarray, after: np.ndarray):
-        self.shares = shares  # after = Mbar before, off the constants
-        self._cycle(float(np.add.reduce(shares * before * after)
-                          / np.add.reduce(shares * before * before)))
-
-    def _cycle(self, b: float) -> None:
-        """Start a cycle on [-1, b], b clipped into [0, 1 - _ROUNDING]."""
-        self.b = b = min(max(b, 0.0), 1.0 - _ROUNDING)
-        sigma = (1.0 + b) / (3.0 - b)
-        root = math.sqrt(1.0 - sigma * sigma)
-        self.gamma, self.sigma2 = 2.0 / (3.0 - b), sigma * sigma
-        self.r = (1.0 - root) / (1.0 + root)
-        self.p, self.omega = 0, 2.0
-
-    def next(self, previous, current, delta, step: float) -> np.ndarray:
-        """The iterate after `current`, whose plain step `delta` has max norm `step`."""
-        if self.p % _CHECK == 0:
-            norm = step * math.sqrt(np.add.reduce(self.shares * np.square(delta / step)))
-            if self.p == 0:
-                self.start = norm
-            else:
-                log_q = math.log(2.0) + self.p / 2 * math.log(self.r) - math.log1p(self.r ** self.p)
-                # a drop of T_p(z) Q_p, z the abscissa on [-1, b] of the eigenvalue it shows
-                excess = math.log(norm / self.start) - log_q
-                if excess > (_DAMPING - 1.0) * log_q:
-                    acosh = excess + math.log1p(math.sqrt(-math.expm1(-2.0 * excess)))  # p acosh z
-                    theta, b = math.exp(acosh / self.p), self.b  # z = (theta + 1/theta) / 2
-                    self._cycle(min(((b + 1) * (theta + 1 / theta) / 2 + b - 1) / 2,
-                                    1 - (1 - b) / 4))
-                    self.start = norm
-        self.p += 1
-        nxt = (current + self.gamma * delta if self.p == 1
-               else previous + self.omega * (self.gamma * delta + current - previous))
-        self.omega = 1.0 / (1.0 - self.sigma2 * self.omega / 4.0)
-        return nxt
-
-
-def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Solve (I - Mbar) y = chat, with shares @ y = 0, by CG in the shares inner product.
+def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray, y: np.ndarray, res: np.ndarray,
+                         floor: float, cap: int,
+                         record: Callable[[np.ndarray], None] | None = None
+                         ) -> tuple[np.ndarray, int, int, float, bool]:
+    """Solve (I - Mbar) y = chat from `y`, whose residual is `res`, by CG in the shares inner product.
 
     I - Mbar is self-adjoint and semidefinite in sum(shares_i a_i b_i), so
     this is Jacobi-preconditioned CG on L y = D chat, and its residual is
-    the fixed-point residual chat - (y - Mbar y). CG stops on the max norm
-    the solve reports: at most 1e-13 * max(1, |chat|_inf), or a few
-    rounding units of |y|_inf when that is larger (the residual cannot be
-    evaluated more finely). When the recurred residual passes, the true
-    one is recomputed, and CG restarts from it if it does not. Starting at
-    0, every update lies in the weighted complement of e, which a final
-    projection restores against rounding. Raises ConvergenceError after
-    10 n iterations, or sooner if rounding leaves a direction of
-    non-positive curvature. Returns y, the iterations and the residual of
-    the last stop check.
+    the fixed-point residual chat - (y - Mbar y). CG stops once that
+    residual's max norm is at most `floor`, or a few rounding units of
+    |y|_inf when that is larger (the residual cannot be evaluated more
+    finely). When the recurred residual passes, the true one is
+    recomputed, and CG restarts from it if it does not. Every update lies
+    in the weighted complement of e. CG gives up after `cap` Mbar
+    products, or once rounding leaves a direction of non-positive
+    curvature. `record` gets the start and y after each product. Returns
+    y, the iterations, the products (iterations and true residuals), the
+    last residual and whether it converged.
 
-    CG runs on chat / u, u the power of two at or below |chat|_inf: unscaled,
-    its squared residuals overflow once |chat|_inf passes about 1e154, and
-    a power of two scales exactly, so no result that fits in range moves.
+    CG runs on chat, res and y over u, the power of two at or below
+    max(|chat|_inf, |res|_inf): unscaled, its squared residuals overflow
+    past about 1e154, and a power of two scales exactly.
     """
-    top = float(np.abs(chat).max())
-    u = math.ldexp(1.0, math.frexp(top)[1] - 1)  # 1/2 when chat = 0
-    floor = 1e-13 * max(1.0, top) / u
-    chat = chat / u
-    y = np.zeros(d.n)
-    res = chat.copy()  # the residual at y = 0
-
-    def converged() -> bool:
-        return float(np.abs(res).max()) <= max(floor, _ROUNDING * float(np.abs(y).max()))
-
-    iterations = 0
-    while not converged():
-        p = res.copy()
-        rr = float(d.shares @ (res * res))
-        while not converged():
-            q = p - d.mbar_dot(p)
-            curvature = float(d.shares @ (p * q))
-            if iterations == 10 * d.n or not curvature > 0:
-                raise ConvergenceError(iterations, float(np.abs(res).max()) * u, None, y * u)
-            alpha = rr / curvature
-            y += alpha * p
-            res -= alpha * q
-            rr, rr_old = float(d.shares @ (res * res)), rr
-            p *= rr / rr_old
-            p += res
-            iterations += 1
-        res = chat - (y - d.mbar_dot(y))
-    y -= d.shares @ y
+    u = math.ldexp(1.0, math.frexp(max(np.abs(chat).max(), np.abs(res).max()))[1] - 1)  # 1/2 at 0
+    floor, chat, y, res = floor / u, chat / u, y / u, res / u
+    iterations, products, p, exact = 0, 0, None, True  # exact: res is the true residual at y
+    while True:
+        if record is not None:
+            record(y * u)
+        passed = float(np.abs(res).max()) <= max(floor, _ROUNDING * float(np.abs(y).max()))
+        if (passed and exact) or products == cap:
+            break
+        if passed:
+            res = chat - (y - d.mbar_dot(y))
+            products, p, exact = products + 1, None, True
+            continue
+        if p is None:
+            p = res.copy()
+            rr = float(d.shares @ (res * res))
+        q = p - d.mbar_dot(p)
+        products += 1
+        curvature = float(d.shares @ (p * q))
+        if not curvature > 0:
+            break
+        alpha = rr / curvature
+        y += alpha * p
+        res -= alpha * q
+        rr, rr_old = float(d.shares @ (res * res)), rr
+        p *= rr / rr_old
+        p += res
+        iterations, exact = iterations + 1, False
     with np.errstate(over="ignore"):  # ratings past the float range, which _outcome refuses
-        return y * u, iterations, float(np.abs(res).max()) * u
+        return y * u, iterations, products, float(np.abs(res).max()) * u, passed and exact
 
 
 def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
@@ -344,8 +298,10 @@ def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None,
 
     chat is c centered to games-weighted mean zero. Conjugate gradients
     solve the equivalent Laplacian system L y = D chat for the part y with
-    sum(m_i y_i) = 0, and x = y + rho e with rho the games-weighted mean
-    of r bakes in the constraint sum(m_i x_i) = sum(m_i r_i). Needs
+    sum(m_i y_i) = 0: from y = 0, to 1e-13 * |chat|_inf (1e-13 when
+    chat = 0), for at most 10 n Mbar products, with a final projection
+    against rounding. x = y + rho e with rho the games-weighted mean of r
+    bakes in the constraint sum(m_i x_i) = sum(m_i r_i). Needs
     connectivity only; bipartite schedules are fine here even though the
     iteration diverges on them. A caller that already holds
     `check_structure(d)` passes it as `structure` to skip a second traversal.
@@ -356,7 +312,13 @@ def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None,
         raise SingularSystemError(structure.components)
     r = _as_vector(r, d)
     chat = _centered(d, c)
-    return _outcome(d, chat, float(d.shares @ r), "direct", *_conjugate_gradients(d, chat))
+    y, iterations, _, residual, converged = _conjugate_gradients(
+        d, chat, np.zeros(d.n), chat, 1e-13 * (float(np.abs(chat).max()) or 1.0), 10 * d.n)
+    if not converged:
+        raise ConvergenceError(iterations, residual, None, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # as past the float range
+        y -= d.shares @ y
+    return _outcome(d, chat, float(d.shares @ r), "direct", y, iterations, residual)
 
 
 def _outcome(d: DerivedMatrices, chat: np.ndarray, rho: float, method: str, y: np.ndarray,

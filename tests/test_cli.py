@@ -313,7 +313,7 @@ class TestTimings:
         (["check", REFERENCE, "--spectral", "--format", "json"],
          ["parse", "build", "derive", "structure", "spectral", "render"]),
         (["performance", REFERENCE, "--compare"],
-         ["parse", "build", "derive", "solve", "render"]),
+         ["parse", "build", "derive", "structure", "solve", "render"]),
     ])
     def test_stages_follow_an_unchanged_report(self, capsys, argv, stages):
         code, out, err = run(capsys, *argv)

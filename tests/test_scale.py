@@ -38,7 +38,7 @@ from recperf import (
     spectral_diagnostics,
     tournament_to_json,
 )
-from recperf import diagnostics
+from recperf import diagnostics, solver
 from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 from recperf.diagnostics import UNRESOLVED
 
@@ -158,7 +158,7 @@ def test_failed_iteration_names_the_bfs_verdict(tmp_path, capsys):
 
 def test_a_slow_mixer_converges_at_n_2000():
     # the spectral gap is 3.1e-6, so plain steps would need millions; the
-    # Chebyshev steps finish under the default cap, within the stop's bound
+    # conjugate-gradient steps finish under the default cap, within the stop's bound
     sparse = pytest.importorskip("scipy.sparse")
     eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
     d = derive(build_tournament(*ladder_records(2000)))
@@ -172,7 +172,10 @@ def test_a_slow_mixer_converges_at_n_2000():
     lambda_2 = eigsh(sym, k=2, sigma=1.001, which="LM", tol=1e-13,
                      return_eigenvectors=False).min()
     bound = iteration_error_bound(d, c - d.shares @ c, out.ratings, 0.0, lambda_2)
-    assert np.abs(out.ratings - solve_direct(d, c).ratings).max() <= bound
+    direct = solve_direct(d, c)
+    assert np.abs(out.ratings - direct.ratings).max() <= bound
+    # a few windows of plain steps, then CG from their iterate
+    assert out.iterations <= 2 * direct.iterations + 4 * solver._WINDOW
 
 
 @pytest.mark.parametrize("name, iterates", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -281,12 +282,16 @@ class TestIterate:
 
 
 @pytest.fixture
-def cycles(monkeypatch):
-    """The b of every Chebyshev cycle `iterate` starts, in order."""
+def tails(monkeypatch):
+    """(CG iterations, Mbar products) of every conjugate-gradient run so far."""
     seen = []
-    start = solver._Chebyshev._cycle
-    monkeypatch.setattr(solver._Chebyshev, "_cycle",
-                        lambda self, b: start(self, b) or seen.append(self.b))
+    run = solver._conjugate_gradients
+
+    def spy(*args):
+        out = run(*args)
+        seen.append(out[1:3])
+        return out
+    monkeypatch.setattr(solver, "_conjugate_gradients", spy)
     return seen
 
 
@@ -310,23 +315,23 @@ def huge_ladder():
 
 
 class TestChebyshev:
-    """Slow mixers, where `iterate` turns to Chebyshev semi-iteration."""
+    """Slow mixers, where `iterate` turns from plain steps to conjugate gradients."""
 
-    def test_ladder_fixture_count_and_accuracy(self, cycles):
+    def test_ladder_fixture_count_and_accuracy(self, tails):
         # the plain iteration takes 15,353 steps here
         t = load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament
         d, dd = derive(t), dense_derive(t)
         out = iterate(d, offsets(d, MODEL))
-        assert out.iterations == 609
-        assert len(cycles) == 2
+        assert out.iterations == 142
+        assert tails == [(13, 14)]  # after 2 windows of plain steps
         bound = iteration_error_bound(d, centered_offsets(d, MODEL), out.ratings, 0.0,
                                       dense_eigenvalues(dd)[-2])
         assert np.abs(out.ratings - dense_solve(dd, MODEL)).max() <= bound
 
     def test_fast_mixers_stay_plain(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("Chebyshev steps taken")
-        monkeypatch.setattr(solver, "_Chebyshev", refuse)
+            raise AssertionError("conjugate-gradient steps taken")
+        monkeypatch.setattr(solver, "_conjugate_gradients", refuse)
         d = derive(reference_tournament())
         iterate(d, offsets(d, MODEL))
         rng = np.random.default_rng(47)
@@ -334,15 +339,13 @@ class TestChebyshev:
             d = derive(random_tournament(rng))
             iterate(d, offsets(d, MODEL), rng.uniform(0, 2000, d.n))
 
-    @pytest.mark.parametrize("n, iterations", [(40, 284), (60, 376), (100, 609)])
-    def test_b_climbs_toward_lambda_2_from_below(self, cycles, n, iterations):
+    @pytest.mark.parametrize("n, iterations", [(40, 131), (60, 135), (100, 142)])
+    def test_ladder_count_and_accuracy(self, n, iterations):
         t = build_tournament(*ladder_records(n))
         d, dd = derive(t), dense_derive(t)
         out = iterate(d, offsets(d, MODEL))
         assert out.iterations == iterations
         lambda_2 = dense_eigenvalues(dd)[-2]
-        assert cycles == sorted(cycles)
-        assert 0.0 < cycles[0] and cycles[-1] <= lambda_2 + 1e-12
         bound = iteration_error_bound(d, centered_offsets(d, MODEL), out.ratings, 0.0, lambda_2)
         assert np.abs(out.ratings - dense_solve(dd, MODEL)).max() <= bound
 
@@ -362,23 +365,23 @@ class TestChebyshev:
         iterate(d, c)
         assert len(traversals) == 1  # at the switch
         with pytest.raises(ConvergenceError):
-            iterate(d, c, max_iter=300)
+            iterate(d, c, max_iter=132)
         assert len(traversals) == 2  # at the switch, and not again at the cap
         with pytest.raises(ConvergenceError):
             iterate(d, c, max_iter=100)
         assert len(traversals) == 3  # no switch before the cap: at the cap
 
-    def test_a_bipartite_path_keeps_plain_steps(self, cycles, traversals):
+    def test_a_bipartite_path_keeps_plain_steps(self, tails, traversals):
         names = [f"P{k}" for k in range(30)]
         records = [(names[k], names[k + 1], 0.6) for k in range(29)] * 2
         d = derive(build_tournament(names, records))
         with pytest.raises(ConvergenceError, match="is bipartite") as excinfo:
             iterate(d, offsets(d, MODEL), max_iter=5_000)
         assert excinfo.value.iterations == 5_000
-        assert not cycles
+        assert not tails
         assert len(traversals) == 1
 
-    def test_a_split_schedule_keeps_plain_steps(self, cycles):
+    def test_a_split_schedule_keeps_plain_steps(self, tails):
         # two chains closed into triangles, joined by nothing: each one mixes slowly
         names = [f"P{k}" for k in range(40)]
         records = []
@@ -388,34 +391,62 @@ class TestChebyshev:
         d = derive(build_tournament(names, records))
         with pytest.raises(ConvergenceError, match="splits into 2 independent groups"):
             iterate(d, offsets(d, MODEL), max_iter=2_000)
-        assert not cycles
+        assert not tails
 
-    def test_a_cap_inside_the_chebyshev_steps(self, cycles):
+    def test_a_cap_inside_the_accelerated_steps(self, tails):
+        # the switch comes at step 128 and the run would stop at 135
         d = derive(build_tournament(*ladder_records(60)))
         errors = []
         for record_trace in (False, True):
             with pytest.raises(ConvergenceError) as excinfo:
-                iterate(d, offsets(d, MODEL), max_iter=300, record_trace=record_trace)
+                iterate(d, offsets(d, MODEL), max_iter=132, record_trace=record_trace)
             errors.append(excinfo.value)
-        assert len(cycles) == 2
+        assert tails == [(4, 4)] * 2
         quiet, traced = errors
-        assert quiet.iterations == 300
-        assert "converges, but not within 300 steps" in str(quiet)
+        assert quiet.iterations == 132
+        assert "converges, but not within 132 steps" in str(quiet)
+        assert "direct solve" not in str(quiet)
         assert quiet.step_norm == traced.step_norm
         assert np.array_equal(quiet.last_iterate, traced.last_iterate)
 
-    def test_trace_keeps_every_step_past_the_switch(self, cycles):
+    def test_trace_keeps_every_step_past_the_switch(self, tails):
+        # one iterate after each Mbar product: one a CG iteration, and an
+        # unmoved one at the switch and at each check of the true residual
         d = derive(build_tournament(*ladder_records(60)))
         r = np.random.default_rng(57).uniform(500, 2500, d.n)
         out = iterate(d, offsets(d, MODEL), r, record_trace=True)
         quiet = iterate(d, offsets(d, MODEL), r)
-        assert cycles and cycles[:len(cycles) // 2] == cycles[len(cycles) // 2:]
+        assert len(tails) == 2 and tails[0] == tails[1]
         assert out.iterations == quiet.iterations
         assert np.array_equal(out.ratings, quiet.ratings)
         assert len(out.trace) == out.iterations + 1
         assert np.array_equal(out.trace[-1], out.ratings)
         sigma = float(d.m @ r)
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 1e-9 * abs(sigma)
+
+    def test_a_breakdown_inside_the_accelerated_steps(self, monkeypatch):
+        # negated shares give CG's first direction negative curvature
+        run = solver._conjugate_gradients
+        monkeypatch.setattr(solver, "_conjugate_gradients", lambda d, *args: run(
+            dataclasses.replace(d, shares=-d.shares), *args))
+        d = derive(build_tournament(*ladder_records(60)))
+        with pytest.raises(ConvergenceError) as excinfo:
+            iterate(d, offsets(d, MODEL))
+        assert excinfo.value.iterations == 129  # the switch's product and CG's first
+        assert "odd cycle" in str(excinfo.value)
+        assert "direct solve" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("method", [iterate, solve_direct])
+def test_ratings_scale_with_the_model_scale(method):
+    # the stop tolerances are relative to |chat|_inf, so no scale stops early
+    d = derive(load_tournament(Path(__file__).parent / "fixtures" / "ladder.json").tournament)
+    unit = method(d, offsets(d, elo(1.0))).ratings
+    for scale in (1e-300, 1e-12, 400.0, 1e200):
+        ratings = method(d, offsets(d, elo(scale))).ratings
+        assert (rank_from_ratings(ratings, 1e-6 * scale).groups
+                == rank_from_ratings(unit, 1e-6).groups)
+        assert np.abs(ratings / scale - unit).max() <= 1e-8 * np.abs(unit).max()
 
 
 class TestDeviationIterate:
@@ -427,7 +458,7 @@ class TestDeviationIterate:
         d, gap, r = huge_ladder
         c = offsets(d, MODEL)
         out = iterate(d, c, r)
-        assert out.iterations == iterate(d, c, r, record_trace=True).iterations == 577
+        assert out.iterations == iterate(d, c, r, record_trace=True).iterations == 164
         tol = 1e-10 * float(np.abs(centered_offsets(d, MODEL)).max())
         rho = float(d.shares @ r)
         error = np.abs(out.ratings - solve_direct(d, offsets(d, MODEL), r).ratings).max()
@@ -442,7 +473,7 @@ class TestDeviationIterate:
         rho = float(d.shares @ r)
         for record_trace in (False, True):
             out = iterate(d, c, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
-            assert out.iterations == 736
+            assert out.iterations == 171
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
             assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
 
@@ -453,12 +484,12 @@ class TestDeviationIterate:
         assert max(abs(float(d.m @ x) - sigma) for x in out.trace) <= 4 * np.spacing(sigma)
 
     def test_a_capped_run_keeps_the_total_of_huge_ratings(self, huge_ladder):
-        # capped after the switch at step 128, inside the Chebyshev steps
+        # capped after the switch at step 128, inside the conjugate-gradient steps
         d, _, r = huge_ladder
         sigma = float(d.m @ r)
         for record_trace in (False, True):
             with pytest.raises(ConvergenceError) as excinfo:
-                iterate(d, offsets(d, MODEL), r, max_iter=400, record_trace=record_trace)
+                iterate(d, offsets(d, MODEL), r, max_iter=150, record_trace=record_trace)
             assert abs(float(d.m @ excinfo.value.last_iterate) - sigma) <= 4 * np.spacing(sigma)
 
     def test_a_tolerance_below_the_rounding_ends_in_the_stall(self, huge_ladder):
@@ -467,7 +498,7 @@ class TestDeviationIterate:
         direct = solve_direct(d, c).ratings
         for record_trace in (False, True):
             out = iterate(d, c, tol=1e-300, max_iter=10**6, record_trace=record_trace)
-            assert out.iterations == 782
+            assert out.iterations == 150
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings).max()
             assert np.abs(out.ratings - direct).max() <= 2 * floor / gap
 
