@@ -82,23 +82,16 @@ def _refusal(players: Sequence[str], exc: SingularSystemError | BoundaryScoreErr
     return EXIT_BOUNDARY
 
 
-def diagnostics_to_dict(
-    structure: StructureReport,
-    lopsided: np.ndarray,
-    spectral: SpectralReport | None,
-    players: tuple[str, ...],
-) -> dict:
-    """The report's diagnostics block, with label witnesses.
-
-    The spectral keys appear only when a spectrum was computed.
-    """
+def diagnostics_to_dict(structure: StructureReport, lopsided: np.ndarray,
+                        spectral: SpectralReport | None, players: tuple[str, ...]) -> dict:
+    """The report's diagnostics block, with label witnesses; the spectral keys appear
+    only when a spectrum was computed."""
     doc = {
         "connected": structure.connected,
         "components": _LabelGroups(players, structure.components),
         "nonbipartite": not structure.bipartite,
-        "coloring": None
-        if structure.coloring is None
-        else _LabelGroups(players, structure.coloring),
+        "coloring": (None if structure.coloring is None
+                     else _LabelGroups(players, structure.coloring)),
     }
     if spectral is not None:
         doc.update((key, getattr(spectral, key)) for key in (
@@ -216,10 +209,10 @@ def cmd_rank(args: argparse.Namespace) -> dict | int:
         c = timed("solve", offsets, d, model, clamp_scores=args.clamp_scores)
         outcomes: dict[str, SolveOutcome] = {}
         if args.method in ("direct", "both"):
-            outcomes["direct"] = timed("solve", solve_direct, d, c, initial, structure=structure)
+            outcomes["direct"] = timed("solve", solve_direct, d, c, initial)
         if args.method in ("iterative", "both"):
             outcomes["iterative"] = timed("solve", iterate, d, c, initial, tol=args.tol,
-                                          max_iter=args.max_iter, structure=structure)
+                                          max_iter=args.max_iter)
     except BoundaryScoreError as exc:
         return _refusal(players, exc, clamp_hint=not args.clamp_scores)
 
@@ -274,8 +267,7 @@ def cmd_check(args: argparse.Namespace) -> dict:
     players, lopsided = t.players, lopsided_pairs(t)
     del t  # the Tournament's pairs would stack on the BFS and the spectrum
     structure = timed("structure", check_structure, d)
-    spectral = (timed("spectral", spectral_diagnostics, d, structure=structure)
-                if args.spectral else None)
+    spectral = timed("spectral", spectral_diagnostics, d) if args.spectral else None
     del d  # else the CSR arrays stay alive while the report is built, the memory peak
     return {
         "schema": CHECK_SCHEMA_VERSION,
@@ -296,9 +288,8 @@ def cmd_performance(args: argparse.Namespace) -> dict | int:
         c = timed("solve", offsets, d, model)
         columns = {"performance": timed("solve", performance, d, c, initial)}
         if args.compare:
-            structure = timed("structure", check_structure, d)
-            columns["recursive_performance"] = timed(
-                "solve", solve_direct, d, c, initial, structure=structure).ratings
+            timed("structure", check_structure, d)  # its own stage; solve_direct reads it from d
+            columns["recursive_performance"] = timed("solve", solve_direct, d, c, initial).ratings
     except (SingularSystemError, BoundaryScoreError) as exc:
         return _refusal(players, exc)
     return {

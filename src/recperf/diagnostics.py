@@ -9,24 +9,28 @@ absolute value, have 1 with multiplicity equal to the number of connected
 components, and include -1 exactly for bipartite schedules.
 
 The traversal walks the CSR adjacency of `derive` one BFS level at a time,
-in O(n + pairs). The spectral check needs only the extremes of the
-spectrum, lambda_2 and lambda_min, once the unit eigenvalues the BFS
-predicts are deflated; Lanczos in the games-weighted inner product finds
-them through the same CSR kernel. A step costs one CSR product and one
-reorthogonalization pass (two reads of the k rows so far): O(k * pairs +
-k^2 * n) time for k steps, with k capped so that the basis stays under
-64 MB. The basis holds 8 rows until a run passes its first check, at step
-8, and then the whole cap, of which only the k rows written become
-resident: memory in use is O(k * n). Only `check --spectral` runs it.
+in O(n + pairs), at most once per derived schedule: `d.structure` keeps
+its verdict for `check_structure`, the solvers and the spectral check. The
+spectral check needs only the extremes of the spectrum, lambda_2 and
+lambda_min, once the unit eigenvalues the BFS predicts are deflated;
+Lanczos in the games-weighted inner product finds them through the same
+CSR kernel. A step costs one CSR product and one reorthogonalization pass
+(two reads of the k rows so far): O(k * pairs + k^2 * n) time for k steps,
+with k capped so that the basis stays under 64 MB. The basis holds 8 rows
+until a run passes its first check, at step 8, and then the whole cap, of
+which only the k rows written become resident: memory in use is O(k * n).
+Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tournament import DerivedMatrices, Tournament
+if TYPE_CHECKING:  # tournament imports this module, for the traversal
+    from .tournament import DerivedMatrices, Tournament
 
 UNRESOLVED = "unresolved"  # a spectral verdict the bounds or the basis budget leave open
 _BASIS_BYTES = 64 * 2**20  # the Lanczos basis never grows past this, whatever n is
@@ -86,7 +90,13 @@ class SpectralReport:
 
 
 def check_structure(d: DerivedMatrices) -> StructureReport:
-    """BFS the comparison graph: connected components and per-component 2-coloring.
+    """Components and per-component 2-coloring of the comparison graph: `d.structure`,
+    whose BFS runs at its first read and is kept on `d`."""
+    return d.structure
+
+
+def _traverse(d: DerivedMatrices) -> StructureReport:
+    """BFS the comparison graph, for `DerivedMatrices.structure`.
 
     Level-synchronous: each step expands a whole BFS level at once over the
     CSR adjacency. Components are found in order of their smallest member.
@@ -96,8 +106,7 @@ def check_structure(d: DerivedMatrices) -> StructureReport:
     cleanly is a team-like sub-schedule; any such component makes the whole
     iteration oscillate, so the verdict is per component rather than global.
     """
-    n = d.n
-    indptr, indices = d.indptr, d.indices
+    n, indptr, indices = d.n, d.indptr, d.indices
     depth = np.full(n, -1, dtype=np.int32)
     members: list[np.ndarray] = []
     odd_cycle: list[bool] = []
@@ -110,9 +119,8 @@ def check_structure(d: DerivedMatrices) -> StructureReport:
         level = 0
         odd = False
         while frontier.size:
-            reached = np.concatenate(
-                [indices[indptr[k]:indptr[k + 1]] for k in frontier.tolist()]
-            )
+            reached = np.concatenate([indices[indptr[k]:indptr[k + 1]]
+                                      for k in frontier.tolist()])
             seen = depth[reached]
             odd = odd or bool(np.any(seen == level))
             fresh = np.sort(reached[seen < 0])
@@ -129,17 +137,13 @@ def check_structure(d: DerivedMatrices) -> StructureReport:
         comp = members[odd_cycle.index(False)]
         even = depth[comp] % 2 == 0
         coloring = (tuple(comp[even].tolist()), tuple(comp[~even].tolist()))
-    return StructureReport(
-        connected=len(members) == 1,
-        components=tuple(tuple(c.tolist()) for c in members),
-        bipartite=coloring is not None,
-        coloring=coloring,
-    )
+    return StructureReport(connected=len(members) == 1,
+                           components=tuple(tuple(c.tolist()) for c in members),
+                           bipartite=coloring is not None, coloring=coloring)
 
 
-def _unit_vectors(d: DerivedMatrices, structure: StructureReport,
-                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vector z_C of each BFS component C that Mbar fixes within `tol`.
+def _unit_vectors(d: DerivedMatrices, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vector z_C of each BFS component C of `d.structure` that Mbar fixes within `tol`.
 
     z_C is constant on C and a unit vector in the shares inner product.
     Only a component that no game leaves is checked, so a wrong BFS split
@@ -149,9 +153,9 @@ def _unit_vectors(d: DerivedMatrices, structure: StructureReport,
     and the Rayleigh quotient of each. A player no component lists joins
     the first one, which that player's games then make fail the check.
     """
-    groups = len(structure.components)
+    groups = len(d.structure.components)
     label = np.zeros(d.n, dtype=np.int32)
-    for k, members in enumerate(structure.components):
+    for k, members in enumerate(d.structure.components):
         label[list(members)] = k
     leaves = np.logical_or.reduceat(
         label[d.indices] != np.repeat(label, np.diff(d.indptr)), d.indptr[:-1])
@@ -177,15 +181,14 @@ def _start_vector(n: int) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def spectral_diagnostics(d: DerivedMatrices, *,
-                         structure: StructureReport | None = None) -> SpectralReport:
+def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
 
     Mbar is self-adjoint in the shares inner product sum(shares_i a_i b_i),
     so Lanczos runs on `mbar_dot` in it and no n x n array is built. An
     eigenvalue counts as 1 or -1 within tol = 64 * n * eps. The vector
-    constant on each BFS component of `structure` (computed here when not
-    given) is deflated once Mbar is seen to fix it within tol.
+    constant on each BFS component of `d.structure` is deflated once Mbar
+    is seen to fix it within tol.
     Lanczos then runs on the rest from a fixed-seed start: each step
     takes the three-term recurrence, then deflates once and makes one
     classical Gram-Schmidt pass against its basis. Every few
@@ -210,13 +213,11 @@ def spectral_diagnostics(d: DerivedMatrices, *,
     # 2000-player chain closed by one triangle, which is connected and
     # not bipartite.
     tol = 64 * n * np.finfo(float).eps
-    if structure is None:
-        structure = check_structure(d)
 
     def norm(w: np.ndarray) -> float:  # in the shares inner product
         return float(np.sqrt(d.shares @ (w * w)))
 
-    label, z, units = _unit_vectors(d, structure, tol)
+    label, z, units = _unit_vectors(d, tol)
 
     def deflate(w: np.ndarray) -> None:
         w -= z * np.bincount(label, d.shares * z * w)[label]

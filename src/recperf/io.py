@@ -18,9 +18,9 @@ as three columns, and a column, a crosstable row or the initial ratings
 passes only when its set of types is the one it needs, so a bool or a str
 fails before numpy could convert it. Only a file that fails is walked, to
 name its first fault. Each step frees its input before the next copy is
-made: `load_tournament` drops the text once it is decoded, the match objects
-go once their columns are read and the columns once the build has numbered
-them, so the decode alone sets the parse peak.
+made: the text is dropped once it is decoded, the match objects go once
+their columns are read and the columns once the build has numbered them,
+so the decode alone sets the parse peak.
 """
 
 from __future__ import annotations
@@ -59,19 +59,25 @@ def _sniff(text: str) -> str:
 
 def parse_tournament(text: str) -> ParsedTournament:
     """Parse JSON text (first non-blank `{` or `[`) or CSV, less one leading byte-order mark."""
-    text = text[1:] if text.startswith("\ufeff") else text  # copied only if it has the mark
-    if _sniff(text) == "json":
-        return parse_tournament_json(text)
-    return parse_tournament_csv(text)
+    return _parse([text[1:] if text.startswith("\ufeff") else text])  # copied only if marked
 
 
 def load_tournament(path: str | Path) -> ParsedTournament:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
-    if ({".json": "json", ".csv": "csv"}.get(path.suffix.lower()) or _sniff(text)) == "csv":
+    """Parse a file as its suffix (.json or .csv) says, or as `parse_tournament` sniffs it."""
+    path = Path(path)  # utf-8-sig drops a leading byte-order mark
+    return _parse([path.read_text(encoding="utf-8-sig")],
+                  {".json": "json", ".csv": "csv"}.get(path.suffix.lower()))
+
+
+def _parse(texts: list[str], fmt: str | None = None) -> ParsedTournament:
+    """The tournament in the one text of `texts`, read as `fmt` ("json" or "csv") or sniffed.
+    The text is popped, and JSON text dropped once decoded, so a caller holding no other
+    reference frees it there (in a list: CPython 3.10 keeps an argument alive till return)."""
+    text = texts.pop()
+    if (fmt or _sniff(text)) == "csv":
         return parse_tournament_csv(text)
     doc = _decode(text)
-    del text  # before any column is read
+    del text
     return _json_tournament(doc)
 
 
@@ -118,7 +124,7 @@ def _decode(text: str) -> dict:
 
 def parse_tournament_json(text: str) -> ParsedTournament:
     """Parse the JSON format; every number reads as a float (an int past float range as inf)."""
-    return _json_tournament(_decode(text))
+    return _parse([text], "json")
 
 
 def _json_tournament(doc: dict) -> ParsedTournament:

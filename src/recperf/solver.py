@@ -169,8 +169,7 @@ def _check_limits(tol: float | None, max_iter: int) -> None:
 
 def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
             tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
-            record_trace: bool = False,
-            structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
+            record_trace: bool = False) -> SolveOutcome:
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat, accelerated once slow.
 
     chat is c centered to games-weighted mean zero. Every iterate is
@@ -184,10 +183,10 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
     of _WINDOW steps where the drop left, step/tol, exceeds the last
     window's; then `_conjugate_gradients` finishes the run from x, whose
     delta is CG's residual, on the same stop (Hageman & Young, "Applied
-    Iterative Methods", 1981, ch. 7), unless BFS finds the schedule split
-    or bipartite: CG could converge where the paper's iteration must not,
-    so plain steps go on to the cap. Every ConvergenceError names the BFS
-    cause; `structure`, the caller's `check_structure(d)`, saves that BFS.
+    Iterative Methods", 1981, ch. 7), unless `d.structure` (read only at
+    the switch or the cap) finds the schedule split or bipartite: CG could
+    converge where the paper's iteration must not, so plain steps go on to
+    the cap. Every ConvergenceError names that BFS cause.
     Plain steps call no BLAS, CG two `shares @` dots a step. A trace,
     which changes no step, holds the start and x after each Mbar product.
     """
@@ -217,24 +216,20 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
                 return _outcome(d, chat, rho, "iterative", nxt, iteration, trace=trace)
             if iteration % _WINDOW == 0:
                 if window > step and step / tol > window / step:
-                    if structure is None:
-                        structure = diagnostics.check_structure(d)
-                    if structure.connected and not structure.bipartite:
+                    if d.structure.connected and not d.structure.bipartite:
                         break
                 window = step
             current = nxt
             if trace is not None:
                 trace.append(current + rho)
         else:
-            if structure is None:
-                structure = diagnostics.check_structure(d)
-            raise ConvergenceError(max_iter, step, structure, current + rho)
+            raise ConvergenceError(max_iter, step, d.structure, current + rho)
         y, _, products, step, converged = _conjugate_gradients(
             d, chat, current, delta, tol, max_iter - iteration,
             None if trace is None else lambda x: trace.append(x + rho))
     if converged:
         return _outcome(d, chat, rho, "iterative", y, iteration + products, step, trace)
-    raise ConvergenceError(iteration + products, step, structure, y + rho)
+    raise ConvergenceError(iteration + products, step, d.structure, y + rho)
 
 
 def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray, y: np.ndarray, res: np.ndarray,
@@ -292,8 +287,7 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray, y: np.ndarray, re
         return y * u, iterations, products, float(np.abs(res).max()) * u, passed and exact
 
 
-def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
-                 structure: diagnostics.StructureReport | None = None) -> SolveOutcome:
+def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None) -> SolveOutcome:
     """Solve (I - Mbar) x = chat pinned by strength conservation.
 
     chat is c centered to games-weighted mean zero. Conjugate gradients
@@ -302,14 +296,11 @@ def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None,
     chat = 0), for at most 10 n Mbar products, with a final projection
     against rounding. x = y + rho e with rho the games-weighted mean of r
     bakes in the constraint sum(m_i x_i) = sum(m_i r_i). Needs
-    connectivity only; bipartite schedules are fine here even though the
-    iteration diverges on them. A caller that already holds
-    `check_structure(d)` passes it as `structure` to skip a second traversal.
+    connectivity only, as `d.structure` tells; bipartite schedules are
+    fine here even though the iteration diverges on them.
     """
-    if structure is None:
-        structure = diagnostics.check_structure(d)
-    if not structure.connected:
-        raise SingularSystemError(structure.components)
+    if not d.structure.connected:
+        raise SingularSystemError(d.structure.components)
     r = _as_vector(r, d)
     chat = _centered(d, c)
     y, iterations, _, residual, converged = _conjugate_gradients(

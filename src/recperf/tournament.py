@@ -19,10 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
+
+from . import diagnostics
 
 
 class TournamentDataError(ValueError):
@@ -157,6 +160,8 @@ class DerivedMatrices:
         indices: opponent index of each entry.
         weights: Mbar's entry M_ij / m_i for each (i, opponent j); each
             row sums to 1.
+        structure: not a field; the BFS verdict of `diagnostics.check_structure`,
+            traversed at the first read and kept, so at most once per instance.
     """
 
     m: np.ndarray
@@ -169,6 +174,10 @@ class DerivedMatrices:
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def structure(self) -> diagnostics.StructureReport:
+        return diagnostics._traverse(self)
 
     def mbar_dot(self, x: np.ndarray) -> np.ndarray:
         """Mbar @ x over the CSR adjacency; every row is non-empty."""

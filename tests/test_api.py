@@ -63,9 +63,8 @@ def test_only_offsets_reads_the_model():
 
     assert params(recperf.offsets) == ["d", "model", "clamp_scores"]
     assert params(recperf.performance) == ["d", "c", "r"]
-    assert params(recperf.iterate) == ["d", "c", "r", "tol", "max_iter", "record_trace",
-                                       "structure"]
-    assert params(recperf.solve_direct) == ["d", "c", "r", "structure"]
+    assert params(recperf.iterate) == ["d", "c", "r", "tol", "max_iter", "record_trace"]
+    assert params(recperf.solve_direct) == ["d", "c", "r"]
     clamping = [name for name in PUBLIC if inspect.isfunction(getattr(recperf, name))
                 and "clamp_scores" in params(getattr(recperf, name))]
     assert clamping == ["offsets"]

@@ -223,7 +223,7 @@ class TestSinglePass:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"derive": 0, "check_structure": 0, "spectral_diagnostics": 0}
+        counts = {"derive": 0, "_traverse": 0, "spectral_diagnostics": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -241,7 +241,7 @@ class TestSinglePass:
     def test_rank_both(self, capsys, calls):
         code, out, _ = run(capsys, "rank", REFERENCE, "--method", "both", "--format", "json")
         assert code == EXIT_OK
-        assert calls == {"derive": 1, "check_structure": 1, "spectral_diagnostics": 0}
+        assert calls == {"derive": 1, "_traverse": 1, "spectral_diagnostics": 0}
         doc = json.loads(out)
         assert doc["schema"] == 2
         assert not SPECTRAL_KEYS & doc["diagnostics"].keys()
@@ -250,12 +250,12 @@ class TestSinglePass:
     def test_check_computes_spectrum_only_when_asked(self, capsys, calls, fmt):
         code, out, _ = run(capsys, "check", REFERENCE, "--format", fmt)
         assert code == EXIT_OK
-        assert calls == {"derive": 1, "check_structure": 1, "spectral_diagnostics": 0}
+        assert calls == {"derive": 1, "_traverse": 1, "spectral_diagnostics": 0}
         if fmt == "json":
             assert not SPECTRAL_KEYS & json.loads(out)["diagnostics"].keys()
         code, out, _ = run(capsys, "check", REFERENCE, "--spectral", "--format", fmt)
         assert code == EXIT_OK
-        assert calls == {"derive": 2, "check_structure": 2, "spectral_diagnostics": 1}
+        assert calls == {"derive": 2, "_traverse": 2, "spectral_diagnostics": 1}
         if fmt == "json":
             doc = json.loads(out)
             assert doc["schema"] == 3

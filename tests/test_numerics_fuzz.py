@@ -17,6 +17,12 @@ Per example:
 - `iterate` lies within its stop of the direct ratings on a connected
   non-bipartite schedule, and raises ConvergenceError on any other.
 
+For a few schedules drawn the same way, written to a JSON file with their
+initial ratings, the CLI run in process agrees with the library: `rank
+--method both` exits 3 on a split schedule, 5 on a bipartite one and
+else 0 with `solve_direct`'s ratings to the bit, and `check --spectral`
+reports the BFS and spectral verdicts.
+
 "Its stop" is `reference.iteration_error_bound`: the stop's tol over
 1 - lambda_2 (lambda_2 from `dense_eigenvalues`), times the
 shares-to-max-norm factor 1 / sqrt(min shares), plus the direct solve's
@@ -26,6 +32,10 @@ A schedule that cannot converge gets a cap of 3,000 steps (with the
 default cap a plain run to it would take about a second); every other
 runs at the default cap.
 """
+
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -42,6 +52,7 @@ from recperf import (
     solve_direct,
     spectral_diagnostics,
 )
+from recperf.cli import main
 from recperf.diagnostics import UNRESOLVED
 
 from reference import (
@@ -55,6 +66,11 @@ from reference import (
 FAILING_CAP = 3_000
 
 NUMERICS = settings(max_examples=120, deadline=None, database=None, derandomize=True)
+SHAPES = dict(kind=st.sampled_from(["sparse", "ladder", "bipartite_odd", "communities"]),
+              n=st.integers(3, 60), reach=st.integers(1, 3),
+              mode=st.sampled_from(["interior", "lopsided", "boundary"]),
+              scale=st.sampled_from([1e-3, 400.0, 1e200]),
+              seed=st.integers(0, 2**32 - 1))
 
 
 def _pairs(kind: str, n: int, reach: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,11 +128,7 @@ def schedule(kind: str, n: int, reach: int, mode: str, seed: int):
 
 
 @NUMERICS
-@given(kind=st.sampled_from(["sparse", "ladder", "bipartite_odd", "communities"]),
-       n=st.integers(3, 60), reach=st.integers(1, 3),
-       mode=st.sampled_from(["interior", "lopsided", "boundary"]),
-       scale=st.sampled_from([1e-3, 400.0, 1e200]),
-       seed=st.integers(0, 2**32 - 1))
+@given(**SHAPES)
 @example(kind="ladder", n=60, reach=1, mode="interior", scale=400.0, seed=0)
 @example(kind="communities", n=60, reach=1, mode="boundary", scale=400.0, seed=1)
 @example(kind="bipartite_odd", n=59, reach=1, mode="lopsided", scale=1e200, seed=2)
@@ -126,7 +138,7 @@ def test_solvers_agree_with_the_dense_oracle(kind, n, reach, mode, scale, seed):
     structure = check_structure(d)
     assert structure == dense_structure(dd)
 
-    spectral = spectral_diagnostics(d, structure=structure)
+    spectral = spectral_diagnostics(d)
     assert spectral.multiplicity_one in (len(structure.components), UNRESOLVED)
     assert spectral.has_minus_one in (structure.bipartite, UNRESOLVED)
 
@@ -141,7 +153,7 @@ def test_solvers_agree_with_the_dense_oracle(kind, n, reach, mode, scale, seed):
             return
         raise AssertionError("a split schedule converged")
 
-    direct = solve_direct(d, c, r, structure=structure)
+    direct = solve_direct(d, c, r)
     oracle = dense_solve(dd, model, r, clamp_scores=True)
     assert np.abs(direct.ratings - oracle).max() <= 1e-9 * scale
     if not converges:
@@ -155,3 +167,43 @@ def test_solvers_agree_with_the_dense_oracle(kind, n, reach, mode, scale, seed):
     bound = iteration_error_bound(d, c - d.shares @ c, out.ratings, float(d.shares @ r),
                                   dense_eigenvalues(dd)[-2])
     assert np.abs(out.ratings - direct.ratings).max() <= bound
+
+
+def _cli(*argv: str) -> tuple[int, str]:
+    """Exit code and standard output of one in-process CLI run."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(NUMERICS, max_examples=25)
+@given(**SHAPES)
+@example(kind="sparse", n=8, reach=1, mode="interior", scale=400.0, seed=17)  # split
+@example(kind="ladder", n=30, reach=1, mode="lopsided", scale=1e-3, seed=3)  # a bipartite path
+@example(kind="communities", n=60, reach=1, mode="boundary", scale=1e200, seed=1)
+def test_the_cli_exits_as_the_library_decides(tmp_path_factory, kind, n, reach, mode, scale,
+                                              seed):
+    t, rng = schedule(kind, n, reach, mode, seed)
+    r = rng.uniform(-2.0, 2.0, n) * scale
+    path = tmp_path_factory.getbasetemp() / "numerics_fuzz.json"
+    path.write_text(json.dumps({"players": list(t.players), "crosstable": t.score_matrix.tolist(),
+                                "initial_ratings": r.tolist()}))
+    d = derive(t)
+    structure, spectral = check_structure(d), spectral_diagnostics(d)
+
+    code, out = _cli("rank", str(path), "--method", "both", "--clamp-scores",
+                     "--model", f"elo:{scale!r}", "--format", "json")
+    assert code == (3 if not structure.connected else 5 if structure.bipartite else 0)
+    if code == 0:
+        direct = solve_direct(d, offsets(d, elo(scale), clamp_scores=True), r)
+        rating = {row["player"]: row["rating"] for row in json.loads(out)["players"]}
+        assert [rating[p] for p in t.players] == direct.ratings.tolist()
+
+    code, out = _cli("check", str(path), "--spectral", "--format", "json")
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["connected"] is structure.connected
+    assert diag["nonbipartite"] is not structure.bipartite
+    assert diag["multiplicity_one"] == spectral.multiplicity_one
+    assert diag["has_minus_one"] == spectral.has_minus_one

@@ -110,10 +110,10 @@ def assert_agrees(t: Tournament, *, iterates: bool) -> None:
     assert_extremes_match(spectral_diagnostics(d), dense_eigenvalues(dd), structure)
     if not structure.connected:
         with pytest.raises(SingularSystemError):
-            solve_direct(d, offsets(d, MODEL, clamp_scores=True), structure=structure)
+            solve_direct(d, offsets(d, MODEL, clamp_scores=True))
         return
     r = np.random.default_rng(t.n).uniform(1000.0, 2600.0, t.n)
-    direct = solve_direct(d, offsets(d, MODEL, clamp_scores=True), r, structure=structure)
+    direct = solve_direct(d, offsets(d, MODEL, clamp_scores=True), r)
     oracle = dense_solve(dd, MODEL, r, clamp_scores=True)
     assert np.abs(direct.ratings - oracle).max() <= 1e-9 * MODEL.scale
     if iterates:
@@ -258,10 +258,10 @@ def test_spectral_report_repeats_exactly_and_survives_relabelling():
 def test_spectral_memory_stays_linear_at_n_20000():
     # the dense eigensolver needed one 20000 x 20000 array: 3.2 GB
     d = derive(random_schedule(np.random.default_rng(20000), 20_000, 400_000))
-    structure = check_structure(d)
+    check_structure(d)  # the BFS runs here, outside the traced peak, and is kept on d
     tracemalloc.start()
     try:
-        report = spectral_diagnostics(d, structure=structure)
+        report = spectral_diagnostics(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

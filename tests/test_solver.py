@@ -299,10 +299,25 @@ def tails(monkeypatch):
 def traversals(monkeypatch):
     """One entry for each BFS run so far."""
     calls = []
-    check = diagnostics.check_structure
-    monkeypatch.setattr(diagnostics, "check_structure",
-                        lambda d: calls.append(1) or check(d))
+    traverse = diagnostics._traverse
+    monkeypatch.setattr(diagnostics, "_traverse", lambda d: calls.append(1) or traverse(d))
     return calls
+
+
+def test_one_traversal_per_derived_schedule(traversals):
+    # check_structure, the spectrum and both solvers share the one traversal kept on d
+    d = derive(build_tournament(*ladder_records(60)))
+    c = offsets(d, MODEL)
+    diagnostics.check_structure(d)
+    diagnostics.spectral_diagnostics(d)
+    solve_direct(d, c)
+    iterate(d, c)
+    assert len(traversals) == 1
+    iterate(d, c)
+    assert len(traversals) == 1  # the kept verdict is read again
+    d = derive(load_tournament(Path(__file__).parent / "fixtures" / "reference.json").tournament)
+    iterate(d, offsets(d, MODEL))
+    assert len(traversals) == 1  # a fast mixer never reads the verdict
 
 
 @pytest.fixture(scope="module")
@@ -356,20 +371,25 @@ class TestChebyshev:
         assert np.abs(out.ratings - solve_direct(d, c).ratings).max() <= 1e-9 * MODEL.scale
 
     def test_the_bfs_runs_once_and_only_when_needed(self, traversals):
-        d = derive(build_tournament(*ladder_records(60)))
-        c = offsets(d, MODEL)
-        structure = diagnostics.check_structure(d)
-        del traversals[:]
-        iterate(d, c, structure=structure)
-        assert not traversals  # the caller's verdict is taken
+        def fresh():
+            d = derive(build_tournament(*ladder_records(60)))
+            return d, offsets(d, MODEL)
+
+        d, c = fresh()
+        diagnostics.check_structure(d)
         iterate(d, c)
-        assert len(traversals) == 1  # at the switch
+        assert len(traversals) == 1  # the verdict kept on d is taken
+        d, c = fresh()
+        iterate(d, c)
+        assert len(traversals) == 2  # at the switch
+        d, c = fresh()
         with pytest.raises(ConvergenceError):
             iterate(d, c, max_iter=132)
-        assert len(traversals) == 2  # at the switch, and not again at the cap
+        assert len(traversals) == 3  # at the switch, and not again at the cap
+        d, c = fresh()
         with pytest.raises(ConvergenceError):
             iterate(d, c, max_iter=100)
-        assert len(traversals) == 3  # no switch before the cap: at the cap
+        assert len(traversals) == 4  # no switch before the cap: at the cap
 
     def test_a_bipartite_path_keeps_plain_steps(self, tails, traversals):
         names = [f"P{k}" for k in range(30)]
