@@ -19,11 +19,16 @@ CSR kernel. A step costs one CSR product and one reorthogonalization pass
 with k capped so that the basis stays under 64 MB. The basis holds 8 rows
 until a run passes its first check, at step 8, and then the whole cap, of
 which only the k rows written become resident: memory in use is O(k * n).
+At each check the extreme Ritz values of the k x k Lanczos tridiagonal
+come from Sturm-count bisection and their vectors from one inverse-iteration
+solve, in plain floats at O(k) a count, so no LAPACK routine runs.
 Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,6 +39,8 @@ if TYPE_CHECKING:  # tournament imports this module, for the traversal
 
 UNRESOLVED = "unresolved"  # a spectral verdict the bounds or the basis budget leave open
 _BASIS_BYTES = 64 * 2**20  # the Lanczos basis never grows past this, whatever n is
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,101 @@ def _start_vector(n: int) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
+def _sturm_count(diag: list[float], squares: list[float], x: float, pivmin: float,
+                 most: int) -> int:
+    """How many eigenvalues of a symmetric tridiagonal lie at or below x, counted up to `most`.
+
+    The count of negative LDL^T pivots of T - x I, one a row, where
+    squares[i] = T[i, i-1]^2 (squares[0] = 0); a pivot within pivmin of 0
+    is taken as -pivmin (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+    """
+    count = 0
+    pivot = 1.0
+    for a, b2 in zip(diag, squares):
+        pivot = a - x - b2 / pivot
+        if pivot < pivmin:
+            if pivot > -pivmin:
+                pivot = -pivmin
+            count += 1
+            if count == most:
+                break
+    return count
+
+
+def _pivots(diag: list[float], squares: list[float], x: float, pivmin: float) -> list[float]:
+    """The LDL^T pivots of T - x I, guarded as `_sturm_count` guards them."""
+    pivots = []
+    pivot = 1.0
+    for a, b2 in zip(diag, squares):
+        pivot = a - x - b2 / pivot
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        pivots.append(pivot)
+    return pivots
+
+
+def _ritz(diag: list[float], off: list[float], beta: float, j: int,
+          near: tuple[float, float, list[float]] | None = None
+          ) -> tuple[float, float, list[float]]:
+    """A Ritz value of the Lanczos tridiagonal T, its residual estimate and its Ritz vector.
+
+    T has diagonal `diag` and off-diagonal `off`, beta is the next Lanczos
+    coefficient, and j indexes the Ritz values ascending, as a list does:
+    0 is the smallest, -1 the largest. The value comes from bisection to
+    the last bit, each step one Sturm count, cut short once it has passed
+    the value sought. It starts from the Gershgorin interval, or from a
+    narrower bracket when `near` is the extreme pair (j = 0 or -1) of a
+    leading block of T, as `_ritz` gave it: by Cauchy interlacing its
+    value bounds this one from one side, and some eigenvalue of T lies
+    within its residual estimate of it, so a Sturm count at each end
+    confirms the bracket or keeps the Gershgorin end. The vector is one
+    step of inverse iteration, (T - theta I) s = gamma e_r solved by
+    eliminating from both ends toward the row r where they meet with the
+    smallest |gamma| (a twisted factorization, Parlett & Dhillon, Linear
+    Algebra Appl. 309, 2000), so even a tiny last entry s_k comes out to
+    working relative accuracy. It is left unnormalized, with s_r = 1;
+    beta |s_k| / ||s|| estimates the residual norm.
+    """
+    k = len(diag)
+    sign, index = (1.0, j) if j >= 0 else (-1.0, -1 - j)  # the index-th smallest of sign * T
+    signed = diag if j >= 0 else [-a for a in diag]
+    squares = [0.0] + [b * b for b in off]
+    pivmin = _TINY * max(1.0, *squares)
+    reach = [abs(b) + abs(c) for b, c in zip([0.0, *off], [*off, 0.0])]  # Gershgorin radii
+    lo = min(a - r for a, r in zip(signed, reach))
+    hi = max(a + r for a, r in zip(signed, reach))
+    scale = max(-lo, hi)
+    pad = k * _EPS * scale + pivmin  # rounding in the counts
+    lo, hi = lo - pad, hi + pad
+    if near is not None:
+        value, residual, _ = near
+        below, above = sign * value - residual - pad, sign * value + pad
+        if lo < below and _sturm_count(signed, squares, below, pivmin, index + 1) <= index:
+            lo = below
+        if above < hi and _sturm_count(signed, squares, above, pivmin, index + 1) > index:
+            hi = above
+    floor = _EPS * _EPS * scale  # an eigenvalue at 0 stops here, not among the subnormals
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi and hi - lo > floor:
+        if _sturm_count(signed, squares, mid, pivmin, index + 1) > index:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    theta = sign * hi
+
+    down = _pivots(diag, squares, theta, pivmin)
+    up = _pivots(diag[::-1], [0.0] + squares[:0:-1], theta, pivmin)[::-1]
+    twist = min(range(k), key=lambda i: abs(down[i] + up[i] - (diag[i] - theta)))
+    s = [0.0] * k
+    s[twist] = 1.0
+    for i in range(twist - 1, -1, -1):
+        s[i] = -off[i] / down[i] * s[i + 1]
+    for i in range(twist + 1, k):
+        s[i] = -off[i - 1] / up[i] * s[i - 1]
+    return theta, beta * abs(s[-1]) / math.hypot(*s), s
+
+
 def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     """lambda_2 and lambda_min of Mbar, with bounds, by deflated Lanczos.
 
@@ -192,8 +294,9 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     Lanczos then runs on the rest from a fixed-seed start: each step
     takes the three-term recurrence, then deflates once and makes one
     classical Gram-Schmidt pass against its basis. Every few
-    steps (a geometric schedule) the k x k tridiagonal is solved; the run
-    stops when the residual estimates of the top and bottom Ritz values
+    steps (a geometric schedule) `_ritz` finds the smallest Ritz value and
+    the largest ones, down past those within tol of 1, with no LAPACK; the
+    run stops when the residual estimates of the top and bottom Ritz values
     are within tol, on breakdown, or when the basis would pass
     _BASIS_BYTES. Some eigenvalue lies within the Ritz residual norm of
     each Ritz value, so each verdict carries its bound:
@@ -232,6 +335,7 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     alphas = np.empty(limit)
     betas = np.empty(limit)
     check = 8
+    low = high = None  # the extreme Ritz pairs of the last check
     for k in range(1, limit + 1):
         v = basis[k - 1]
         w = d.mbar_dot(v)
@@ -245,18 +349,14 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
         alphas[k - 1] = alpha + h[-1]
         beta = norm(w)
         if beta <= tol or k == limit or k == check:
-            tridiagonal = np.zeros((k, k))
-            tridiagonal.flat[::k + 1] = alphas[:k]
-            tridiagonal.flat[k::k + 1] = betas[:k - 1]  # eigh reads the lower triangle
-            theta, s = np.linalg.eigh(tridiagonal)
-            # beta |last entry| of each Ritz vector estimates its residual;
-            # top is the largest Ritz value not within tol of 1
-            residual = beta * np.abs(s[-1])
-            top = k - 1
-            while top > 0 and theta[top] - residual[top] >= 1.0 - tol:
-                top -= 1
+            diag, off = alphas[:k].tolist(), betas[:k - 1].tolist()
+            low, high = _ritz(diag, off, beta, 0, low), _ritz(diag, off, beta, -1, high)
+            # the top Ritz pairs, down to the largest one not within tol of 1
+            top = [high]
+            while len(top) < k and top[-1][0] - top[-1][1] >= 1.0 - tol:
+                top.append(low if len(top) == k - 1 else _ritz(diag, off, beta, -1 - len(top)))
             # the Krylov space is invariant, or both extremes have converged
-            settled = beta <= tol or k == space or max(residual[top], residual[0]) <= tol
+            settled = beta <= tol or k == space or max(top[-1][1], low[1]) <= tol
             if settled or k == limit:
                 break
             check = k + k // 4
@@ -268,11 +368,11 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
         np.divide(w, beta, out=basis[k])
 
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
-    ritz = s[:, [top, 0]].T @ basis[:k]
-    lambda_2, lambda_min = float(theta[top]), float(theta[0])
+    (lambda_2, _, s_2), (lambda_min, _, s_min) = top[-1], low
+    ritz = np.array([s_2, s_min]) @ basis[:k]
     bound_2, bound_min = (norm(d.mbar_dot(y) - value * y) / norm(y)
                           for y, value in zip(ritz, (lambda_2, lambda_min)))
-    ones = np.sort(np.concatenate([units, theta[top + 1:]]))
+    ones = np.sort(np.concatenate([units, [theta for theta, _, _ in top[:-1]]]))
     multiplicity: int | str = UNRESOLVED
     minus_one: bool | str = UNRESOLVED
     if settled:  # else the budget ended the run, and the extremes may lie beyond the Ritz values

@@ -2,8 +2,8 @@
 
 The random generators take an explicit numpy Generator so every test pins
 its own seed; scores are drawn from (0.05, 0.95) per game, which keeps
-average scores strictly interior by construction. `ladder_records` builds
-a fixed slow mixer.
+average scores strictly interior by construction. `ladder_records` and
+`chain_with_triangle` build fixed slow mixers.
 """
 
 from __future__ import annotations
@@ -107,3 +107,11 @@ def ladder_records(n: int) -> tuple[list[str], list[tuple[str, str, float]]]:
         for k in range(n - d):
             records += [(names[where[k + d]], names[where[k]], score)] * 4
     return names, records
+
+
+def chain_with_triangle(n: int) -> Tournament:
+    """A path of n players closed by one triangle: connected, not bipartite,
+    and so slowly mixing that Lanczos needs the full Krylov space."""
+    names = [f"P{k}" for k in range(n)]
+    records = [(names[k], names[k + 1], 0.6) for k in range(n - 1)]
+    return build_tournament(names, records + [(names[0], names[2], 0.6)])

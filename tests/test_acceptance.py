@@ -71,7 +71,7 @@ def corpus():
 def test_criterion_1_reference_instance():
     d = reference_derived()
     expected = np.array([REFERENCE_RATING, 0.0, -REFERENCE_RATING])
-    rp.solve_direct(d, rp.offsets(d, MODEL))  # warm the LAPACK path before timing
+    rp.solve_direct(d, rp.offsets(d, MODEL))  # warm the solver's first calls before timing
     start = time.perf_counter()
     direct = rp.solve_direct(d, rp.offsets(d, MODEL))
     iterative = rp.iterate(d, rp.offsets(d, MODEL))

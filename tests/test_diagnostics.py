@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,17 @@ from recperf import (
     lopsided_pairs,
     spectral_diagnostics,
 )
-from recperf.diagnostics import UNRESOLVED
+from recperf import diagnostics
+from recperf.diagnostics import UNRESOLVED, _ritz
 
-from conftest import forced_bipartite, forced_disconnected, random_round_robin, random_tournament
+from conftest import (
+    chain_with_triangle,
+    forced_bipartite,
+    forced_disconnected,
+    ladder_records,
+    random_round_robin,
+    random_tournament,
+)
 from reference import limit_power_check, mbar_dense, permute_tournament
 
 
@@ -140,6 +149,83 @@ class TestSpectral:
         assert scaled.has_minus_one is unit.has_minus_one is False
         assert abs(scaled.lambda_2 - unit.lambda_2) <= 1e-8
         assert abs(scaled.lambda_min - unit.lambda_min) <= 1e-8
+
+
+def tridiagonals(k: int):
+    """Named (diagonal, off-diagonal) pairs of k x k symmetric tridiagonals, norms near 1."""
+    rng = np.random.default_rng(k)
+    diag, off = rng.uniform(-0.5, 0.5, k), rng.uniform(-0.5, 0.5, k - 1)
+    yield "random", diag, off
+    if k > 2:
+        split = off.copy()
+        split[k // 3] = 1e-300  # its square underflows: T all but splits in two
+        yield "a 1e-300 off-diagonal entry", diag, split
+    yield "repeated diagonal entries", np.full(k, diag[0]), off
+    yield "Toeplitz", np.full(k, 0.25), np.full(k - 1, 0.375)
+    if k > 1:
+        # -I plus a quarter of the path's Laplacian, which the constants null
+        laplacian = np.full(k, 2.0)
+        laplacian[[0, -1]] = 1.0
+        yield "eigenvalue exactly -1", -1.0 + laplacian / 4, np.full(k - 1, -0.25)
+
+
+class TestRitz:
+    """`_ritz`, the tridiagonal eigensolver of `spectral_diagnostics`, against LAPACK's."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 151, 400])
+    def test_extreme_pairs_match_eigh(self, k):
+        for name, diag, off in tridiagonals(k):
+            t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            values, vectors = np.linalg.eigh(t)
+            scale = np.abs(values).max()  # the norm of T
+            for j in (0, -1):
+                theta, residual, s = _ritz(diag.tolist(), off.tolist(), 0.5, j)
+                s = np.array(s) / np.linalg.norm(s)
+                # eigh's own values carry a few ulps of the norm of rounding
+                assert abs(theta - values[j]) <= 8 * self.EPS * scale, name
+                assert abs(abs(s[-1]) - abs(vectors[-1, j])) <= 1e-12, name
+                assert residual == pytest.approx(0.5 * abs(s[-1]), rel=1e-14, abs=1e-300)
+                assert np.linalg.norm(t @ s - theta * s) <= 1e-14, name
+
+    @pytest.mark.parametrize("k", [8, 151, 400])
+    def test_a_leading_block_brackets_the_same_values(self, k):
+        # the interlacing bracket of a Lanczos check moves no Ritz pair
+        for name, diag, off in tridiagonals(k):
+            m = k - k // 5  # the block T[:m, :m], coupled to the rest by off[m - 1]
+            block = (diag[:m].tolist(), off[:m - 1].tolist())
+            for j in (0, -1):
+                near = _ritz(*block, abs(off[m - 1]), j)
+                theta, residual, _ = _ritz(diag.tolist(), off.tolist(), 0.5, j, near)
+                alone, alone_residual, _ = _ritz(diag.tolist(), off.tolist(), 0.5, j)
+                assert abs(theta - alone) <= 2 * self.EPS * max(abs(theta), 1.0), name
+                assert residual == pytest.approx(alone_residual, rel=1e-6, abs=1e-17), name
+
+    @pytest.mark.parametrize("k", [8, 400])
+    def test_eigenvalue_minus_one_to_the_last_bit(self, k):
+        # the eigenvector is the constant one, known to the last bit
+        _, diag, off = list(tridiagonals(k))[-1]
+        theta, _, s = _ritz(diag.tolist(), off.tolist(), 1.0, 0)
+        assert theta == -1.0
+        assert np.abs(np.abs(s) / np.linalg.norm(s) - k**-0.5).max() <= 1e-16
+
+    def test_spectral_diagnostics_calls_no_lapack(self, monkeypatch):
+        # verdicts and step counts as eigh of the tridiagonal gave them
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for path in Path(diagnostics.__file__).parent.glob("*.py"):
+            assert "linalg" not in path.read_text(encoding="utf-8"), path.name
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for t, steps in ((build_tournament(*ladder_records(220)), 151),
+                         (chain_with_triangle(400), 399)):
+            report = spectral_diagnostics(derive(t))
+            assert report.multiplicity_one == 1
+            assert report.has_minus_one is False
+            assert report.lanczos_steps == steps
 
 
 class TestDoctoredStructure:

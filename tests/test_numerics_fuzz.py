@@ -12,7 +12,9 @@ lopsided or near-boundary scores and model scales from 1e-3 to 1e200.
 Per example:
 
 - the BFS verdicts equal `dense_structure`;
-- each spectral verdict equals the BFS one or reads "unresolved";
+- each spectral verdict equals the BFS one or reads "unresolved", and
+  once resolved, its lambda_2 or lambda_min lies within its Ritz bound
+  plus rounding of the `dense_eigenvalues` one;
 - `solve_direct` lies within 1e-9 * scale of `dense_solve`;
 - `iterate` lies within its stop of the direct ratings on a connected
   non-bipartite schedule, and raises ConvergenceError on any other.
@@ -64,6 +66,7 @@ from reference import (
 )
 
 FAILING_CAP = 3_000
+ROUNDING = 1e-12  # the dense eigensolver's own error, on top of the Ritz bounds
 
 NUMERICS = settings(max_examples=120, deadline=None, database=None, derandomize=True)
 SHAPES = dict(kind=st.sampled_from(["sparse", "ladder", "bipartite_odd", "communities"]),
@@ -141,6 +144,12 @@ def test_solvers_agree_with_the_dense_oracle(kind, n, reach, mode, scale, seed):
     spectral = spectral_diagnostics(d)
     assert spectral.multiplicity_one in (len(structure.components), UNRESOLVED)
     assert spectral.has_minus_one in (structure.bipartite, UNRESOLVED)
+    dense = dense_eigenvalues(dd)
+    rest = dense[:-len(structure.components)]  # less the unit eigenvalues
+    if spectral.multiplicity_one != UNRESOLVED:
+        assert abs(spectral.lambda_2 - rest[-1]) <= spectral.lambda_2_bound + ROUNDING
+    if spectral.has_minus_one != UNRESOLVED:
+        assert abs(spectral.lambda_min - rest[0]) <= spectral.lambda_min_bound + ROUNDING
 
     model = elo(scale)
     c = offsets(d, model, clamp_scores=True)
@@ -165,7 +174,7 @@ def test_solvers_agree_with_the_dense_oracle(kind, n, reach, mode, scale, seed):
 
     out = iterate(d, c, r)
     bound = iteration_error_bound(d, c - d.shares @ c, out.ratings, float(d.shares @ r),
-                                  dense_eigenvalues(dd)[-2])
+                                  dense[-2])
     assert np.abs(out.ratings - direct.ratings).max() <= bound
 
 

@@ -42,7 +42,7 @@ from recperf import diagnostics, solver
 from recperf.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 from recperf.diagnostics import UNRESOLVED
 
-from conftest import ladder_records
+from conftest import chain_with_triangle, ladder_records
 from reference import (
     consistency_residual,
     dense_derive,
@@ -80,12 +80,6 @@ def random_records(rng, n: int, games: int) -> tuple[list[str], list[tuple[str, 
 
 def random_schedule(rng, n: int, games: int) -> Tournament:
     return build_tournament(*random_records(rng, n, games))
-
-
-def chain_with_triangle(n: int) -> Tournament:
-    names = [f"P{k}" for k in range(n)]
-    records = [(names[k], names[k + 1], 0.6) for k in range(n - 1)]
-    return build_tournament(names, records + [(names[0], names[2], 0.6)])
 
 
 def assert_extremes_match(report, dense: np.ndarray, structure) -> None:
