@@ -14,21 +14,19 @@ its verdict for `check_structure`, the solvers and the spectral check. The
 spectral check needs only the extremes of the spectrum, lambda_2 and
 lambda_min, once the unit eigenvalues the BFS predicts are deflated;
 Lanczos in the games-weighted inner product finds them through the same
-CSR kernel. A step costs one CSR product and one reorthogonalization pass
-(two reads of the k rows so far): O(k * pairs + k^2 * n) time for k steps,
-with k capped so that the basis stays under 64 MB. The basis holds 8 rows
-until a run passes its first check, at step 8, and then the whole cap, of
-which only the k rows written become resident: memory in use is O(k * n).
-At each check the extreme Ritz values of the k x k Lanczos tridiagonal
-come from Sturm-count bisection and their vectors from one inverse-iteration
-solve, in plain floats at O(k) a count, so no LAPACK routine runs.
-Only `check --spectral` runs it.
+CSR kernel. A step costs one CSR product and holds two Lanczos vectors:
+k steps take O(k * pairs) time in O(n) memory, and a second run of them
+builds the two Ritz vectors. At each check the extreme Ritz values of the
+k x k Lanczos tridiagonal come from Sturm-count bisection and their
+vectors from one inverse-iteration solve, in plain floats at O(k) a
+count, so no LAPACK routine runs. Only `check --spectral` runs it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,8 +35,8 @@ import numpy as np
 if TYPE_CHECKING:  # tournament imports this module, for the traversal
     from .tournament import DerivedMatrices, Tournament
 
-UNRESOLVED = "unresolved"  # a spectral verdict the bounds or the basis budget leave open
-_BASIS_BYTES = 64 * 2**20  # the Lanczos basis never grows past this, whatever n is
+UNRESOLVED = "unresolved"  # a spectral verdict the bounds or the step cap leave open
+_MAX_STEPS = 20_000  # Lanczos steps; the 20000-rung ladder takes 12,940
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
@@ -71,12 +69,12 @@ class SpectralReport:
     eigenvalue lies within `lambda_2_bound` of lambda_2 and within
     `lambda_min_bound` of lambda_min (Ritz residual norms).
     `multiplicity_one` and `has_minus_one` read UNRESOLVED when a bound
-    straddles that tolerance or the basis budget ended the run. UNRESOLVED
+    straddles that tolerance or the step cap ended the run. UNRESOLVED
     is a non-empty string, so compare the verdicts with `is True`,
     `is False` or `== 1`; never test them for truth.
     `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|); it drives the
     asymptotic convergence rate of the fixed-point iteration.
-    `lanczos_steps` is the dimension of the Krylov space searched.
+    `lanczos_steps` counts the Lanczos steps of the run.
     """
 
     eigenvalues: np.ndarray
@@ -290,92 +288,94 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     so Lanczos runs on `mbar_dot` in it and no n x n array is built. An
     eigenvalue counts as 1 or -1 within tol = 64 * n * eps. The vector
     constant on each BFS component of `d.structure` is deflated once Mbar
-    is seen to fix it within tol.
-    Lanczos then runs on the rest from a fixed-seed start: each step
-    takes the three-term recurrence, then deflates once and makes one
-    classical Gram-Schmidt pass against its basis. Every few
-    steps (a geometric schedule) `_ritz` finds the smallest Ritz value and
-    the largest ones, down past those within tol of 1, with no LAPACK; the
-    run stops when the residual estimates of the top and bottom Ritz values
-    are within tol, on breakdown, or when the basis would pass
-    _BASIS_BYTES. Some eigenvalue lies within the Ritz residual norm of
-    each Ritz value, so each verdict carries its bound:
-    `multiplicity_one` counts the deflated vectors and every Ritz value
-    within tol of 1 once lambda_2 plus its bound falls below 1 - tol, and
-    `has_minus_one` is decided once lambda_min's bound keeps it off or
-    puts it within tol of -1. Otherwise the verdict is UNRESOLVED. A bound
-    shows that an eigenvalue lies near a Ritz value, not that none lies
-    beyond it: from a generic start Lanczos finds the extremes first, but
-    a run the budget cuts short may not have reached them, so both
-    verdicts of such a run read UNRESOLVED, whatever their bounds.
+    is seen to fix it within tol. Lanczos then runs on the rest from a
+    fixed-seed start, deflating once a step. At each check (a geometric
+    schedule, and the dimension left) `_ritz` finds lambda_min and lambda_2,
+    the largest Ritz value not within tol of 1. The run settles once the
+    next beta or both residual estimates are within tol. Without
+    reorthogonalization converged values repeat as ghosts, but the
+    extremes still converge (Paige, J. Inst. Math. Appl. 18, 1976). A
+    second run of the same steps sums the two Ritz vectors, whose residual
+    norms are the bounds (Cullum & Willoughby, 1985): some eigenvalue lies
+    within each bound of its Ritz value. `multiplicity_one` counts the
+    deflated vectors and the distinct Ritz values within tol of 1 once
+    lambda_2 plus its bound falls below 1 - tol, and `has_minus_one` is
+    decided once lambda_min's bound keeps it off or puts it within tol of
+    -1. Otherwise the verdict is UNRESOLVED. A bound shows that an
+    eigenvalue lies near a Ritz value, not that none lies beyond it: from a
+    generic start Lanczos finds the extremes first, but a run that
+    _MAX_STEPS ends may not have reached them, so both verdicts of such a
+    run read UNRESOLVED, whatever their bounds.
     """
     n = d.n
-    # how close an eigenvalue must come to 1 or -1 to count as one: a
-    # rounding bound, 2.8e-11 at n = 2000. A looser one such as 1e-9 * n
-    # took eigenvalues 3e-7 away from 1 and -1 for 1 and -1 on a
-    # 2000-player chain closed by one triangle, which is connected and
-    # not bipartite.
+    # how close an eigenvalue must come to 1 or -1 to count as one: 2.8e-11 at
+    # n = 2000. 1e-9 * n took eigenvalues 3e-7 from 1 and -1 for 1 and -1 on a
+    # 2000-player chain closed by one triangle, which is connected and not bipartite.
     tol = 64 * n * np.finfo(float).eps
 
-    def norm(w: np.ndarray) -> float:  # in the shares inner product
-        return float(np.sqrt(d.shares @ (w * w)))
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        # a pairwise sum, which no BLAS kernel or thread count rounds differently
+        return float(np.add.reduce(d.shares * (a * b)))
+
+    def norm(w: np.ndarray) -> float:
+        return math.sqrt(inner(w, w))
 
     label, z, units = _unit_vectors(d, tol)
 
     def deflate(w: np.ndarray) -> None:
         w -= z * np.bincount(label, d.shares * z * w)[label]
 
-    v = _start_vector(n)
-    deflate(v)
-    deflate(v)
+    start = _start_vector(n)
+    deflate(start)
+    deflate(start)
+    start /= norm(start)
+
+    def lanczos() -> Iterator[tuple[np.ndarray, float, float]]:  # v_k, alpha_k, beta_k
+        v, previous, beta = start, 0.0, 0.0
+        while True:
+            w = d.mbar_dot(v)
+            w -= beta * previous
+            alpha = inner(v, w)
+            w -= alpha * v
+            deflate(w)
+            beta = norm(w)
+            yield v, alpha, beta
+            previous, v = v, w / beta  # only once the next vector is asked for
+
     space = n - units.size  # the dimension left once the unit vectors are deflated
-    limit = min(space, max(1, _BASIS_BYTES // (8 * n)))
-    basis = np.empty((min(limit, 8), n))  # one vector a row; the first check is at step 8
-    np.divide(v, norm(v), out=basis[0])
-    alphas = np.empty(limit)
-    betas = np.empty(limit)
-    check = 8
-    low = high = None  # the extreme Ritz pairs of the last check
-    for k in range(1, limit + 1):
-        v = basis[k - 1]
-        w = d.mbar_dot(v)
-        if k > 1:
-            w -= betas[k - 2] * basis[k - 2]
-        alpha = d.shares @ (v * w)
-        w -= alpha * v
-        deflate(w)
-        h = basis[:k] @ (d.shares * w)  # one full reorthogonalization pass
-        w -= h @ basis[:k]
-        alphas[k - 1] = alpha + h[-1]
-        beta = norm(w)
-        if beta <= tol or k == limit or k == check:
-            diag, off = alphas[:k].tolist(), betas[:k - 1].tolist()
-            low, high = _ritz(diag, off, beta, 0, low), _ritz(diag, off, beta, -1, high)
-            # the top Ritz pairs, down to the largest one not within tol of 1
-            top = [high]
-            while len(top) < k and top[-1][0] - top[-1][1] >= 1.0 - tol:
-                top.append(low if len(top) == k - 1 else _ritz(diag, off, beta, -1 - len(top)))
-            # the Krylov space is invariant, or both extremes have converged
-            settled = beta <= tol or k == space or max(top[-1][1], low[1]) <= tol
-            if settled or k == limit:
+    alphas: list[float] = []
+    betas: list[float] = []
+    check, low, high = 8, None, None  # low and high: the extreme Ritz pairs of the last check
+    for k, (_, alpha, beta) in enumerate(lanczos(), 1):
+        alphas.append(alpha)
+        if beta <= tol or k in (check, space, _MAX_STEPS):
+            squares = [0.0] + [b * b for b in betas]
+            pivmin = _TINY * max(1.0, *squares)
+            above = k - _sturm_count(alphas, squares, 1.0 - tol, pivmin, k)  # within tol of 1
+            low, high = _ritz(alphas, betas, beta, 0, low), _ritz(alphas, betas, beta, -1, high)
+            # lambda_2 is the largest Ritz value not within tol of 1
+            second = high if above == 0 else _ritz(alphas, betas, beta, -1 - min(above, k - 1))
+            settled = beta <= tol or max(second[1], low[1]) <= tol
+            if settled or k == _MAX_STEPS:
                 break
-            check = k + k // 4
-        if k == len(basis):  # past the first check: reserve the budget, once
-            grown = np.empty((limit, n))
-            grown[:k] = basis
-            basis = grown
-        betas[k - 1] = beta
-        np.divide(w, beta, out=basis[k])
+            check = max(check, k + k // 4)
+        betas.append(beta)
 
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
-    (lambda_2, _, s_2), (lambda_min, _, s_min) = top[-1], low
-    ritz = np.array([s_2, s_min]) @ basis[:k]
+    (lambda_2, _, s_2), (lambda_min, _, s_min) = second, low
+    y_2, y_min = np.zeros(n), np.zeros(n)
+    for a, b, (v, _, _) in zip(s_2, s_min, lanczos()):  # stops at step k, where beta may be 0
+        y_2 += a * v
+        y_min += b * v
     bound_2, bound_min = (norm(d.mbar_dot(y) - value * y) / norm(y)
-                          for y, value in zip(ritz, (lambda_2, lambda_min)))
-    ones = np.sort(np.concatenate([units, [theta for theta, _, _ in top[:-1]]]))
+                          for y, value in zip((y_2, y_min), (lambda_2, lambda_min)))
+    # a Ritz value that T shares with T less its first row and column is a ghost;
+    # by interlacing, T has 0 or 1 more Ritz values within tol of 1 than that matrix
+    distinct = above + 1 - k + _sturm_count(alphas[1:], [0.0, *squares[2:]], 1.0 - tol, pivmin, k)
+    ones = np.sort(np.concatenate([units, [high[0]] * distinct]))
     multiplicity: int | str = UNRESOLVED
     minus_one: bool | str = UNRESOLVED
-    if settled:  # else the budget ended the run, and the extremes may lie beyond the Ritz values
+    if settled:  # else the step cap ended the run, and the extremes may lie beyond the Ritz values
         if lambda_2 + bound_2 < 1.0 - tol:
             multiplicity = ones.size
         if lambda_min + bound_min <= -1.0 + tol:

@@ -108,12 +108,18 @@ class TestSpectral:
         assert 0.0 <= report.lambda_min_bound <= 1e-12
         assert report.lanczos_steps == 1  # the complement of the constants is one eigenspace
 
-    @pytest.mark.parametrize("n", [300, 600])
-    def test_a_short_run_reserves_no_budget(self, n):
+    @pytest.mark.parametrize("schedule", ["round-robin-300", "round-robin-600", "ladder-2000"])
+    def test_the_traced_peak_holds_no_basis(self, schedule):
         # on a complete round robin Mbar is -I/(n-1) once the constants are
-        # deflated, so Lanczos breaks down at step 1; a basis reserved at the
-        # budget (n - 1 rows here) would trace as much as the CSR weights
-        d = derive(random_round_robin(np.random.default_rng(n), n))
+        # deflated, so Lanczos breaks down at step 1; a basis of n - 1 rows
+        # would trace as much as the CSR weights. The ladder's 1,391 vectors
+        # would take 22 MB; a run holds two of them beside the tridiagonal
+        kind, n = schedule.rsplit("-", 1)
+        if kind == "ladder":
+            d, steps, limit = derive(build_tournament(*ladder_records(int(n)))), 1391, 1e6
+        else:
+            d, steps = derive(random_round_robin(np.random.default_rng(int(n)), int(n))), 1
+            limit = 1.5 * 8 * d.indices.size
         assert d.structure.connected  # the BFS runs here, outside the traced peak
         tracemalloc.start()
         try:
@@ -121,8 +127,8 @@ class TestSpectral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.lanczos_steps == 1
-        assert peak < 1.5 * 8 * d.indices.size
+        assert report.lanczos_steps == steps
+        assert peak < limit
 
     @pytest.mark.parametrize("factor", [1e300, 1e-300, 1e-315])
     @pytest.mark.parametrize("shape", ["crosstable", "sparse"])

@@ -336,12 +336,33 @@ def test_spectral_gap_matches_arpack_at_n_5000():
     assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + 1e-10
 
 
+def test_the_spectrum_resolves_a_slow_mixer_at_n_8000():
+    # the spectral gap is 1.9e-7: Lanczos runs 5,301 steps on two vectors
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    d = derive(build_tournament(*ladder_records(8000)))
+    structure, report = check_structure(d), spectral_diagnostics(d)
+    assert (report.multiplicity_one, report.has_minus_one) == (1, False)
+    assert (len(structure.components), structure.bipartite) == (1, False)
+    root = np.sqrt(d.m)
+    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
+    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
+                            shape=(d.n, d.n))
+    # the two eigenvalues nearest 1 + 1e-4 are 1 and lambda_2; lambda_min is nearest -1 - 1e-4
+    lambda_2 = eigsh(sym, k=2, sigma=1 + 1e-4, which="LM", tol=1e-13,
+                     return_eigenvectors=False).min()
+    lambda_min = eigsh(sym, k=1, sigma=-1 - 1e-4, which="LM", tol=1e-13,
+                       return_eigenvectors=False)[0]
+    assert abs(report.lambda_2 - lambda_2) <= report.lambda_2_bound + ROUNDING
+    assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + ROUNDING
+
+
 def test_a_run_the_budget_ends_never_reads_resolved(monkeypatch):
     # two Lanczos vectors put lambda_2 at 0.293 +- 0.193, well clear of 1, yet
     # the true lambda_2 lies beyond that bound: a Ritz bound shows that some
     # eigenvalue lies near the Ritz value, not that it is the extreme one
     t = random_schedule(np.random.default_rng(3), 400, 2000)
-    monkeypatch.setattr(diagnostics, "_BASIS_BYTES", 2 * 8 * t.n)
+    monkeypatch.setattr(diagnostics, "_MAX_STEPS", 2)
     report = spectral_diagnostics(derive(t))
     assert report.lanczos_steps == 2
     dense = dense_eigenvalues(dense_derive(t))
@@ -354,7 +375,7 @@ def test_a_basis_cut_short_leaves_the_verdicts_unresolved(tmp_path, monkeypatch,
     # 16 Lanczos vectors put lambda_2 at 0.993 +- 0.02 and lambda_min at
     # -0.995 +- 0.02: neither bound keeps clear of 1 or -1
     t = chain_with_triangle(400)
-    monkeypatch.setattr(diagnostics, "_BASIS_BYTES", 16 * 8 * t.n)
+    monkeypatch.setattr(diagnostics, "_MAX_STEPS", 16)
     report = spectral_diagnostics(derive(t))
     assert report.lanczos_steps == 16
     assert report.multiplicity_one == report.has_minus_one == UNRESOLVED
