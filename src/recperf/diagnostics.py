@@ -16,10 +16,11 @@ lambda_min, once the unit eigenvalues the BFS predicts are deflated;
 Lanczos in the games-weighted inner product finds them through the same
 CSR kernel. A step costs one CSR product and holds two Lanczos vectors:
 k steps take O(k * pairs) time in O(n) memory, and a second run of them
-builds the two Ritz vectors. At each check the extreme Ritz values of the
-k x k Lanczos tridiagonal come from Sturm-count bisection and their
-vectors from one inverse-iteration solve, in plain floats at O(k) a
-count, so no LAPACK routine runs. Only `check --spectral` runs it.
+builds the Ritz vectors of the two extremes and of their ghost copies. At
+each check the extreme Ritz values of the k x k Lanczos tridiagonal come
+from Sturm-count bisection and their vectors from one inverse-iteration
+solve, in plain floats at O(k) a count, so no LAPACK routine runs. Only
+`check --spectral` runs it.
 """
 
 from __future__ import annotations
@@ -295,9 +296,11 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     next beta or both residual estimates are within tol. Without
     reorthogonalization converged values repeat as ghosts, but the
     extremes still converge (Paige, J. Inst. Math. Appl. 18, 1976). A
-    second run of the same steps sums the two Ritz vectors, whose residual
-    norms are the bounds (Cullum & Willoughby, 1985): some eigenvalue lies
-    within each bound of its Ritz value. `multiplicity_one` counts the
+    second run of the same steps sums a Ritz vector for each distinct Ritz
+    value within tol of either extreme: some eigenvalue lies within a
+    vector's residual norm of its value, and a ghost copy's vector can be
+    short (Cullum & Willoughby, 1985), so each extreme is the copy with the
+    least residual norm, which is its bound. `multiplicity_one` counts the
     deflated vectors and the distinct Ritz values within tol of 1 once
     lambda_2 plus its bound falls below 1 - tol, and `has_minus_one` is
     decided once lambda_min's bound keeps it off or puts it within tol of
@@ -361,14 +364,30 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
             check = max(check, k + k // 4)
         betas.append(beta)
 
+    def copies(pair: tuple[float, float, list[float]], t: int,
+               sign: float) -> list[tuple[float, float, list[float]]]:
+        # the Ritz pair of index t of sign * T, then one pair for each other value within
+        # tol of it on the inner side; the vector depends on the value alone, so values
+        # equal to the bit (as ghost copies often are) are taken once
+        signed = alphas if sign > 0 else [-a for a in alphas]
+        limit = _sturm_count(signed, squares, sign * pair[0] + tol, pivmin, k)
+        found = [pair]
+        while True:
+            t = max(t + 1, _sturm_count(signed, squares, sign * found[-1][0], pivmin, k))
+            if t >= limit:
+                return found
+            found.append(_ritz(alphas, betas, beta, t if sign > 0 else -1 - t))
+
     # the bounds are the residuals of the Ritz vectors themselves, not estimates
-    (lambda_2, _, s_2), (lambda_min, _, s_min) = second, low
-    y_2, y_min = np.zeros(n), np.zeros(n)
-    for a, b, (v, _, _) in zip(s_2, s_min, lanczos()):  # stops at step k, where beta may be 0
-        y_2 += a * v
-        y_min += b * v
-    bound_2, bound_min = (norm(d.mbar_dot(y) - value * y) / norm(y)
-                          for y, value in zip((y_2, y_min), (lambda_2, lambda_min)))
+    ritz = copies(low, 0, 1.0)
+    split = len(ritz)
+    ritz += copies(second, min(above, k - 1), -1.0)
+    ys = np.zeros((len(ritz), n))
+    for column, (v, _, _) in zip(zip(*(s for _, _, s in ritz)), lanczos()):
+        ys += np.multiply.outer(column, v)  # stops at step k, where beta may be 0
+    bounded = [(norm(d.mbar_dot(y) - value * y) / norm(y), value)
+               for y, (value, _, _) in zip(ys, ritz)]
+    (bound_min, lambda_min), (bound_2, lambda_2) = min(bounded[:split]), min(bounded[split:])
     # a Ritz value that T shares with T less its first row and column is a ghost;
     # by interlacing, T has 0 or 1 more Ritz values within tol of 1 than that matrix
     distinct = above + 1 - k + _sturm_count(alphas[1:], [0.0, *squares[2:]], 1.0 - tol, pivmin, k)

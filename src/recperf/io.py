@@ -25,7 +25,6 @@ so the decode alone sets the parse peak.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
@@ -219,7 +218,10 @@ def parse_tournament_csv(text: str) -> ParsedTournament:
     Errors keep their precedence: a cell too long for the csv module first
     (reading stops there), then the row count, then the first bad row or
     cell, then the labels. A row's errors name the file line it starts on.
+    The csv module is imported here, so JSON input never loads it.
     """
+    import csv
+
     reader = csv.reader(_lines(text))
     header: list[str] | None = None
     n = 0

@@ -3,14 +3,14 @@
 A model turns a rating difference into an expected score through a strictly
 increasing distribution function that is symmetric about zero. Three
 families are provided: the Elo base-10 logistic, the natural logistic, and
-the Gaussian.
+the Gaussian. The Gaussian's `statistics.NormalDist` is imported on its first
+use, so the other families never load `statistics`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 _LN10 = math.log(10.0)
 
@@ -66,6 +66,8 @@ class RatingModel:
             return _sigmoid(x * _LN10 / self.scale)
         if self.family == "logistic":
             return _sigmoid(x / self.scale)
+        from statistics import NormalDist
+
         return NormalDist(0.0, self.scale).cdf(x)
 
     def quantile(self, s: float) -> float:
@@ -81,6 +83,8 @@ class RatingModel:
             return self.scale * math.log10(s / (1.0 - s))
         if self.family == "logistic":
             return self.scale * math.log(s / (1.0 - s))
+        from statistics import NormalDist
+
         return NormalDist(0.0, self.scale).inv_cdf(s)
 
     def expected_score(self, r_i: float, r_j: float) -> float:

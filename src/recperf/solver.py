@@ -145,8 +145,8 @@ def _centered(d: DerivedMatrices, c: np.ndarray) -> np.ndarray:
     into the iteration. Two passes keep the weighted sum at rounding level.
     """
     c = _finite(c, d, "offsets", "offsets")
-    chat = c - d.shares @ c
-    chat -= d.shares @ chat
+    chat = c - _dot(d.shares, c)
+    chat -= _dot(d.shares, chat)
     return chat
 
 
@@ -173,7 +173,7 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
     """Fixed-point iteration x <- Mbar x + chat from x = Mbar r + chat, accelerated once slow.
 
     chat is c centered to games-weighted mean zero. Every iterate is
-    rho e + y with rho = shares @ r, because Mbar e = e and chat has mean
+    rho e + y with rho = sum(shares_i r_i), because Mbar e = e and chat has mean
     zero, so the loop runs on the deviation y and adds rho back to the
     ratings, the trace and the ConvergenceError iterate. A step is one
     Mbar product, the plain step delta = Mbar x + chat - x; the run stops
@@ -187,15 +187,16 @@ def iterate(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None, *,
     the switch or the cap) finds the schedule split or bipartite: CG could
     converge where the paper's iteration must not, so plain steps go on to
     the cap. Every ConvergenceError names that BFS cause.
-    Plain steps call no BLAS, CG two `shares @` dots a step. A trace,
-    which changes no step, holds the start and x after each Mbar product.
+    Plain steps take no dot, CG two a step, each a pairwise sum: no BLAS
+    kernel or thread count rounds them. A trace, which changes no step,
+    holds the start and x after each Mbar product.
     """
     r = _as_vector(r, d)
     chat = _centered(d, c)
     if tol is None:
         tol = DEFAULT_SOLVE_TOL * (float(np.abs(chat).max()) or 1.0)
     _check_limits(tol, max_iter)
-    rho = float(d.shares @ r)
+    rho = _dot(d.shares, r)
     with np.errstate(over="ignore"):
         y = r - rho
     if not np.isfinite(y).all():  # ratings spread past the float range
@@ -270,16 +271,16 @@ def _conjugate_gradients(d: DerivedMatrices, chat: np.ndarray, y: np.ndarray, re
             continue
         if p is None:
             p = res.copy()
-            rr = float(d.shares @ (res * res))
+            rr = _dot(d.shares, res * res)
         q = p - d.mbar_dot(p)
         products += 1
-        curvature = float(d.shares @ (p * q))
+        curvature = _dot(d.shares, p * q)
         if not curvature > 0:
             break
         alpha = rr / curvature
         y += alpha * p
         res -= alpha * q
-        rr, rr_old = float(d.shares @ (res * res)), rr
+        rr, rr_old = _dot(d.shares, res * res), rr
         p *= rr / rr_old
         p += res
         iterations, exact = iterations + 1, False
@@ -308,8 +309,8 @@ def solve_direct(d: DerivedMatrices, c: np.ndarray, r: np.ndarray | None = None)
     if not converged:
         raise ConvergenceError(iterations, residual, None, y)
     with np.errstate(over="ignore", invalid="ignore"):  # as past the float range
-        y -= d.shares @ y
-    return _outcome(d, chat, float(d.shares @ r), "direct", y, iterations, residual)
+        y -= _dot(d.shares, y)
+    return _outcome(d, chat, _dot(d.shares, r), "direct", y, iterations, residual)
 
 
 def _outcome(d: DerivedMatrices, chat: np.ndarray, rho: float, method: str, y: np.ndarray,
@@ -326,10 +327,15 @@ def _outcome(d: DerivedMatrices, chat: np.ndarray, rho: float, method: str, y: n
         if residual is None:
             residual = float(np.abs(y - (d.mbar_dot(y) + chat)).max())
         k = math.frexp(float(np.abs(x).max()))[1]
-        total = float(np.ldexp(d.m @ np.ldexp(x, -k), k))
+        total = float(np.ldexp(_dot(d.m, np.ldexp(x, -k)), k))
     if not (math.isfinite(total) and math.isfinite(residual)):
         raise ValueError("ratings past the float range: the model scale is too large")
     return SolveOutcome(x, method, iterations, residual, total, tuple(trace) if trace else None)
+
+
+def _dot(w: np.ndarray, v: np.ndarray) -> float:
+    """sum(w_i v_i) as a pairwise sum, which no BLAS kernel or thread count rounds differently."""
+    return float(np.add.reduce(w * v))
 
 
 def _finite(v: np.ndarray, d: DerivedMatrices, noun: str, name: str) -> np.ndarray:
@@ -347,7 +353,7 @@ def _as_vector(r: np.ndarray | None, d: DerivedMatrices) -> np.ndarray:
         return np.zeros(d.n)
     r = _finite(r, d, "a rating vector", "initial ratings")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(d.m @ r)
+        total = _dot(d.m, r)
     if not np.isfinite(total):
         raise ValueError("initial_ratings too large: their games-weighted total "
                          "sum(m_i r_i) is not finite")

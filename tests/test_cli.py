@@ -369,23 +369,29 @@ class TestTimings:
         assert "vmhwm_mb" not in json.loads(err.splitlines()[-1])
 
 
-def test_commands_import_neither_numpy_ma_nor_numpy_random():
+def test_commands_load_no_module_they_do_not_use():
     """numpy.ma and numpy.random add start-up time and peak RSS to every run;
-    `build_tournament`'s pair numbering and `_start_vector` avoid them."""
+    `build_tournament`'s pair numbering and `_start_vector` avoid them. statistics
+    loads only for the gaussian model, csv only for CSV input."""
+    csv_path = str(FIXTURES / "reference.csv")
     script = f"""
 import json, sys
 from recperf.cli import main
 codes = [main(["rank", {REFERENCE!r}, "--method", "both", "--format", "json"]),
-         main(["check", {REFERENCE!r}, "--spectral"])]
-loaded = [m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])]
-print(json.dumps([codes, loaded]))
+         main(["check", {REFERENCE!r}, "--spectral"]),
+         main(["performance", {REFERENCE!r}, "--compare"])]
+unused = {{"statistics", "csv"}}
+loaded = [m for m in sys.modules
+          if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"]) or m in unused]
+codes += [main(["rank", {REFERENCE!r}, "--model", "gaussian:200"]), main(["rank", {csv_path!r}])]
+print(json.dumps([codes, loaded, sorted(unused & set(sys.modules))]))
 """
     src = str(Path(recperf.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK] * 5, [], ["csv", "statistics"]]
 
 
 # labels that JSON must escape, or that hold the text between two label lists
@@ -793,7 +799,7 @@ lopsided pairs (one side took every point): A-B, B-C
 
 rank  player            games  avg score     initial        rating
    1  A                     2      0.750         0.0       127.232
-   2  B                     2      0.500         0.0        -0.000
+   2  B                     2      0.500         0.0         0.000
    3  C                     2      0.250         0.0      -127.232
 
 method direct: iterations 1, residual <num>, conserved total <num>
@@ -848,7 +854,7 @@ P2 non-bipartite comparison graph: VIOLATED
 model elo:400
 player            games  avg score     initial   performance     recursive
 A                     2      0.750         0.0       190.849       127.232
-B                     2      0.500         0.0         0.000        -0.000
+B                     2      0.500         0.0         0.000         0.000
 C                     2      0.250         0.0      -190.849      -127.232
 """,
     # a rating too wide for its column prints in exponent form

@@ -281,6 +281,21 @@ class TestVerdictAgreement:
             assert structure.connected == (spectral.multiplicity_one == 1)
             assert structure.bipartite == spectral.has_minus_one
 
+    def test_a_short_ghost_vector_leaves_no_verdict_open(self):
+        # two components, one bipartite; the run settles at step 33 with six Ritz values
+        # within tol of -1. The one bisection gives has the vector of a ghost copy, short
+        # enough that its residual (1.8e-13) exceeds tol; another copy's is 1.6e-14
+        rng = np.random.default_rng(1)
+        corpus = [random_tournament(rng, n_max=30, require_p1p2=False) for _ in range(300)]
+        corpus += [forced_disconnected(rng) for _ in range(5)]
+        d = derive(corpus[304])
+        report = spectral_diagnostics(d)
+        assert (d.structure.connected, d.structure.bipartite) == (False, True)
+        assert report.multiplicity_one == 2
+        assert report.has_minus_one is True
+        assert report.lambda_min_bound <= 64 * d.n * np.finfo(float).eps
+        assert report.lanczos_steps == 33
+
     def test_ones_vector_is_fixed(self):
         rng = np.random.default_rng(33)
         for _ in range(30):

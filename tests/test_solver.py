@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 from pathlib import Path
@@ -320,6 +321,22 @@ def test_one_traversal_per_derived_schedule(traversals):
     assert len(traversals) == 1  # a fast mixer never reads the verdict
 
 
+def test_no_recperf_path_calls_blas():
+    # every games-weighted sum is a pairwise ufunc reduction, so no BLAS kernel
+    # or thread count changes a result; read from the syntax tree, since
+    # docstrings may still write a sum as "shares @ r"
+    blas = {"dot", "inner", "vdot", "matmul", "einsum"}
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), \
+                f"{path.name}:{node.lineno}: @"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = getattr(node.func.value, "id", None)
+                called = node.func.attr == "dot" or (owner in ("np", "numpy")
+                                                     and node.func.attr in blas)
+                assert not called, f"{path.name}:{node.lineno}: {node.func.attr}"
+
+
 @pytest.fixture(scope="module")
 def huge_ladder():
     """The n = 100 ladder, its spectral gap and ratings near 1e12."""
@@ -493,7 +510,7 @@ class TestDeviationIterate:
         rho = float(d.shares @ r)
         for record_trace in (False, True):
             out = iterate(d, c, r, tol=1e-300, max_iter=10**6, record_trace=record_trace)
-            assert out.iterations == 171
+            assert out.iterations == 172
             floor = 16 * np.finfo(float).eps * np.abs(out.ratings - rho).max()
             assert np.abs(out.ratings - direct).max() <= 4 * np.spacing(rho) + 2 * floor / gap
 
@@ -589,7 +606,8 @@ class TestSolveDirect:
         r = 1e12 + np.arange(d.n)
         out, at_zero = solve_direct(d, offsets(d, MODEL), r), solve_direct(d, offsets(d, MODEL))
         assert out.residual == at_zero.residual <= 1e-10
-        assert np.array_equal(out.ratings, at_zero.ratings + float(d.shares @ r))
+        # rho as the solver forms it, a pairwise sum
+        assert np.array_equal(out.ratings, at_zero.ratings + float(np.add.reduce(d.shares * r)))
 
     def test_team_tournament_still_solvable(self):
         # P2 fails but P1 holds: the linear system keeps rank n-1
