@@ -73,7 +73,8 @@ class SpectralReport:
     straddles that tolerance or the step cap ended the run. UNRESOLVED
     is a non-empty string, so compare the verdicts with `is True`,
     `is False` or `== 1`; never test them for truth.
-    `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|); it drives the
+    `spectral_gap` is 1 - max(|lambda_2|, |lambda_min|), clamped at 0 where
+    rounding puts a Ritz value a few ulps past 1 or -1; it drives the
     asymptotic convergence rate of the fixed-point iteration.
     `lanczos_steps` counts the Lanczos steps of the run.
     """
@@ -220,21 +221,15 @@ def _pivots(diag: list[float], squares: list[float], x: float, pivmin: float) ->
     return pivots
 
 
-def _ritz(diag: list[float], off: list[float], beta: float, j: int,
-          near: tuple[float, float, list[float]] | None = None
+def _ritz(diag: list[float], off: list[float], beta: float, j: int
           ) -> tuple[float, float, list[float]]:
     """A Ritz value of the Lanczos tridiagonal T, its residual estimate and its Ritz vector.
 
     T has diagonal `diag` and off-diagonal `off`, beta is the next Lanczos
     coefficient, and j indexes the Ritz values ascending, as a list does:
     0 is the smallest, -1 the largest. The value comes from bisection to
-    the last bit, each step one Sturm count, cut short once it has passed
-    the value sought. It starts from the Gershgorin interval, or from a
-    narrower bracket when `near` is the extreme pair (j = 0 or -1) of a
-    leading block of T, as `_ritz` gave it: by Cauchy interlacing its
-    value bounds this one from one side, and some eigenvalue of T lies
-    within its residual estimate of it, so a Sturm count at each end
-    confirms the bracket or keeps the Gershgorin end. The vector is one
+    the last bit from the Gershgorin interval, each step one Sturm count,
+    cut short once it has passed the value sought. The vector is one
     step of inverse iteration, (T - theta I) s = gamma e_r solved by
     eliminating from both ends toward the row r where they meet with the
     smallest |gamma| (a twisted factorization, Parlett & Dhillon, Linear
@@ -253,13 +248,6 @@ def _ritz(diag: list[float], off: list[float], beta: float, j: int,
     scale = max(-lo, hi)
     pad = k * _EPS * scale + pivmin  # rounding in the counts
     lo, hi = lo - pad, hi + pad
-    if near is not None:
-        value, residual, _ = near
-        below, above = sign * value - residual - pad, sign * value + pad
-        if lo < below and _sturm_count(signed, squares, below, pivmin, index + 1) <= index:
-            lo = below
-        if above < hi and _sturm_count(signed, squares, above, pivmin, index + 1) > index:
-            hi = above
     floor = _EPS * _EPS * scale  # an eigenvalue at 0 stops here, not among the subnormals
     mid = 0.5 * (lo + hi)
     while lo < mid < hi and hi - lo > floor:
@@ -348,16 +336,16 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     space = n - units.size  # the dimension left once the unit vectors are deflated
     alphas: list[float] = []
     betas: list[float] = []
-    check, low, high = 8, None, None  # low and high: the extreme Ritz pairs of the last check
+    check = 8
     for k, (_, alpha, beta) in enumerate(lanczos(), 1):
         alphas.append(alpha)
         if beta <= tol or k in (check, space, _MAX_STEPS):
             squares = [0.0] + [b * b for b in betas]
             pivmin = _TINY * max(1.0, *squares)
             above = k - _sturm_count(alphas, squares, 1.0 - tol, pivmin, k)  # within tol of 1
-            low, high = _ritz(alphas, betas, beta, 0, low), _ritz(alphas, betas, beta, -1, high)
+            low = _ritz(alphas, betas, beta, 0)
             # lambda_2 is the largest Ritz value not within tol of 1
-            second = high if above == 0 else _ritz(alphas, betas, beta, -1 - min(above, k - 1))
+            second = _ritz(alphas, betas, beta, -1 - min(above, k - 1))
             settled = beta <= tol or max(second[1], low[1]) <= tol
             if settled or k == _MAX_STEPS:
                 break
@@ -391,7 +379,8 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
     # a Ritz value that T shares with T less its first row and column is a ghost;
     # by interlacing, T has 0 or 1 more Ritz values within tol of 1 than that matrix
     distinct = above + 1 - k + _sturm_count(alphas[1:], [0.0, *squares[2:]], 1.0 - tol, pivmin, k)
-    ones = np.sort(np.concatenate([units, [high[0]] * distinct]))
+    top = [_ritz(alphas, betas, beta, -1)[0]] if distinct > 0 else []
+    ones = np.sort(np.concatenate([units, top * distinct]))
     multiplicity: int | str = UNRESOLVED
     minus_one: bool | str = UNRESOLVED
     if settled:  # else the step cap ended the run, and the extremes may lie beyond the Ritz values
@@ -407,7 +396,7 @@ def spectral_diagnostics(d: DerivedMatrices) -> SpectralReport:
         eigenvalues=eigenvalues,
         multiplicity_one=multiplicity,
         has_minus_one=minus_one,
-        spectral_gap=1.0 - max(abs(lambda_2), abs(lambda_min)),
+        spectral_gap=max(0.0, 1.0 - max(abs(lambda_2), abs(lambda_min))),
         lambda_2_bound=bound_2,
         lambda_min_bound=bound_min,
         lanczos_steps=k,

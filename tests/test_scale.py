@@ -96,6 +96,15 @@ def assert_extremes_match(report, dense: np.ndarray, structure) -> None:
     assert abs(report.spectral_gap - gap) <= bound + ROUNDING
 
 
+def symmetric_mbar(d, sparse):
+    """diag(sqrt(shares)) Mbar diag(1 / sqrt(shares)) as a scipy CSR matrix: symmetric,
+    with Mbar's eigenvalues."""
+    root = np.sqrt(d.m)
+    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
+    return sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
+                             shape=(d.n, d.n))
+
+
 def assert_agrees(t: Tournament, *, iterates: bool) -> None:
     d, dd = derive(t), dense_derive(t)
     structure = check_structure(d)
@@ -158,10 +167,7 @@ def test_a_slow_mixer_converges_at_n_2000():
     d = derive(build_tournament(*ladder_records(2000)))
     c = offsets(d, MODEL)
     out = iterate(d, c)
-    root = np.sqrt(d.m)
-    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
-    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
-                            shape=(d.n, d.n))
+    sym = symmetric_mbar(d, sparse)
     # the two eigenvalues nearest 1 + 1e-3 are 1 and lambda_2
     lambda_2 = eigsh(sym, k=2, sigma=1.001, which="LM", tol=1e-13,
                      return_eigenvectors=False).min()
@@ -188,8 +194,8 @@ def test_csv_input_agrees():
     assert_agrees(back, iterates=True)
 
 
-def sparse_schedule_json(path: Path, n: int, games: int) -> None:
-    """A ring plus random pairings: connected, not bipartite, interior scores."""
+def sparse_records(n: int, games: int) -> tuple[list[str], list[tuple[str, str, float]]]:
+    """A ring plus random pairings, `games` in all: connected, not bipartite, interior scores."""
     rng = np.random.default_rng(5000)
     ring = rng.permutation(n)
     first = np.concatenate([ring, rng.integers(0, n, games - n)])
@@ -197,10 +203,16 @@ def sparse_schedule_json(path: Path, n: int, games: int) -> None:
     second[n:] += second[n:] >= first[n:]
     score = rng.uniform(0.05, 0.95, games)
     names = [f"P{k}" for k in range(n)]
+    return names, [(names[a], names[b], x)
+                   for a, b, x in zip(first.tolist(), second.tolist(), score.tolist())]
+
+
+def sparse_schedule_json(path: Path, n: int, games: int) -> None:
+    """The schedule of `sparse_records` as a JSON file of match records."""
+    names, records = sparse_records(n, games)
     path.write_text(json.dumps({
         "players": names,
-        "matches": [{"a": names[a], "b": names[b], "score_a": float(x)}
-                    for a, b, x in zip(first.tolist(), second.tolist(), score)],
+        "matches": [{"a": a, "b": b, "score_a": x} for a, b, x in records],
     }))
 
 
@@ -323,10 +335,7 @@ def test_spectral_gap_matches_arpack_at_n_5000():
     eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
     d = derive(random_schedule(np.random.default_rng(5000), 5000, 25_000))
     report = spectral_diagnostics(d)
-    root = np.sqrt(d.m)
-    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
-    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
-                            shape=(d.n, d.n))
+    sym = symmetric_mbar(d, sparse)
     lambda_2 = eigsh(sym, k=2, which="LA", tol=1e-13, return_eigenvectors=False).min()
     lambda_min = eigsh(sym, k=1, which="SA", tol=1e-13, return_eigenvectors=False)[0]
     gap = 1.0 - max(abs(lambda_2), abs(lambda_min))
@@ -334,6 +343,21 @@ def test_spectral_gap_matches_arpack_at_n_5000():
     assert abs(report.spectral_gap - gap) <= bound + 1e-10
     assert abs(report.lambda_2 - lambda_2) <= report.lambda_2_bound + 1e-10
     assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + 1e-10
+
+
+def test_the_spectrum_resolves_at_n_100000():
+    # a ring plus random pairings, 500k games: Lanczos settles after 97 steps on
+    # two vectors, with bounds near 7e-10 against tol = 1.4e-9
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    d = derive(build_tournament(*sparse_records(100_000, 500_000)))
+    report = spectral_diagnostics(d)
+    assert (report.multiplicity_one, report.has_minus_one) == (1, False)
+    sym = symmetric_mbar(d, sparse)
+    lambda_2 = eigsh(sym, k=2, which="LA", tol=1e-13, return_eigenvectors=False).min()
+    lambda_min = eigsh(sym, k=1, which="SA", tol=1e-13, return_eigenvectors=False)[0]
+    assert abs(report.lambda_2 - lambda_2) <= report.lambda_2_bound + ROUNDING
+    assert abs(report.lambda_min - lambda_min) <= report.lambda_min_bound + ROUNDING
 
 
 def test_the_spectrum_resolves_a_slow_mixer_at_n_8000():
@@ -344,10 +368,7 @@ def test_the_spectrum_resolves_a_slow_mixer_at_n_8000():
     structure, report = check_structure(d), spectral_diagnostics(d)
     assert (report.multiplicity_one, report.has_minus_one) == (1, False)
     assert (len(structure.components), structure.bipartite) == (1, False)
-    root = np.sqrt(d.m)
-    rows = np.repeat(np.arange(d.n), np.diff(d.indptr))
-    sym = sparse.csr_matrix((d.weights * root[rows] / root[d.indices], d.indices, d.indptr),
-                            shape=(d.n, d.n))
+    sym = symmetric_mbar(d, sparse)
     # the two eigenvalues nearest 1 + 1e-4 are 1 and lambda_2; lambda_min is nearest -1 - 1e-4
     lambda_2 = eigsh(sym, k=2, sigma=1 + 1e-4, which="LM", tol=1e-13,
                      return_eigenvectors=False).min()
